@@ -3,10 +3,14 @@ package main
 import (
 	"io"
 	"os"
+	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
 	"letdma/internal/serve"
+	"letdma/internal/sysgen"
 )
 
 // runSilenced invokes run() with stdout/stderr pointed at the null
@@ -133,26 +137,9 @@ func TestInterruptExitCode(t *testing.T) {
 // on stderr, and exits 3 like a signal interrupt. A generous budget must
 // not trip: the lite comb solve finishes well inside it and exits 0.
 func TestTimeoutBudgetExpiry(t *testing.T) {
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer devnull.Close()
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldOut, oldErr := os.Stdout, os.Stderr
-	os.Stdout, os.Stderr = devnull, w
-	errc := make(chan string)
-	go func() {
-		buf, _ := io.ReadAll(r)
-		errc <- string(buf)
-	}()
-	code := runWith([]string{"schedule", "-lite", "-solver", "milp", "-timeout", "1ns"}, serve.NewStopper())
-	w.Close()
-	os.Stdout, os.Stderr = oldOut, oldErr
-	stderr := <-errc
+	code, stderr := captureStderr(t, func() int {
+		return runWith([]string{"schedule", "-lite", "-solver", "milp", "-timeout", "1ns"}, serve.NewStopper())
+	})
 	if code != 3 {
 		t.Fatalf("expired -timeout: exit code %d, want 3 (stderr: %s)", code, stderr)
 	}
@@ -221,4 +208,71 @@ func TestInterruptFlushesIncumbent(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestMilpLogKernelLine: -milplog ends with the kernel counter lines, and
+// the "kernel:" line reports how many nodes the deterministic engines
+// warm-expanded from their parent basis. The instance is a small generated
+// system, so both engines prove it optimal in well under a second.
+func TestMilpLogKernelLine(t *testing.T) {
+	sc, err := sysgen.Generate(11, sysgen.Harmonic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "system.json")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.Sys.ToJSON(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	expands := regexp.MustCompile(`(?m)^kernel: warm_attempts=\d+ warm_hits=\d+ warm_expands=(\d+) cold_solves=\d+ `)
+	for _, w := range []string{"0", "2"} {
+		code, stderr := captureStderr(t, func() int {
+			return run([]string{"schedule", "-f", path, "-solver", "milp", "-obj", "dmat", "-milplog", "-workers", w})
+		})
+		if code != 0 {
+			t.Fatalf("-workers %s: exit code %d, want 0 (stderr: %s)", w, code, stderr)
+		}
+		m := expands.FindStringSubmatch(stderr)
+		if m == nil {
+			t.Fatalf("-workers %s: no kernel line with warm_expands; stderr:\n%s", w, stderr)
+		}
+		if n, _ := strconv.Atoi(m[1]); n == 0 {
+			t.Errorf("-workers %s: warm_expands=0, the search never warm-expanded a node", w)
+		}
+		if !strings.Contains(stderr, "kernel/lu: ftran=") {
+			t.Errorf("-workers %s: stderr lacks the kernel/lu line", w)
+		}
+	}
+}
+
+// captureStderr runs f with stdout discarded and stderr captured, and
+// returns f's exit code with everything it wrote to stderr.
+func captureStderr(t *testing.T, f func() int) (int, string) {
+	t.Helper()
+	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer devnull.Close()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldOut, oldErr := os.Stdout, os.Stderr
+	os.Stdout, os.Stderr = devnull, w
+	errc := make(chan string)
+	go func() {
+		buf, _ := io.ReadAll(r)
+		errc <- string(buf)
+	}()
+	code := f()
+	w.Close()
+	os.Stdout, os.Stderr = oldOut, oldErr
+	return code, <-errc
 }

@@ -2,6 +2,7 @@ package letopt
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +13,8 @@ import (
 	"letdma/internal/milp"
 	"letdma/internal/model"
 	"letdma/internal/ordered"
+	"letdma/internal/rta"
+	"letdma/internal/sysgen"
 	"letdma/internal/timeutil"
 )
 
@@ -314,5 +317,53 @@ func TestTightDeadlineForcesEarlyRead(t *testing.T) {
 	lam := dma.Latency(a, cm, res.Sched, 0, fast, dma.PerTaskReadiness)
 	if lam > timeutil.Microseconds(45) {
 		t.Errorf("lambda(fast) = %v exceeds 45us", lam)
+	}
+}
+
+// TestMinTransfersObjectiveVertexIndependent: OBJ-DMAT's objective column
+// maxRGI is continuous, so the optimal LP vertex a search lands on can carry
+// the transfer count as 2.9999999999999996 instead of 3. Warm and cold
+// searches land on different vertices of these instances; both must report
+// the same integral count, bit for bit.
+func TestMinTransfersObjectiveVertexIndependent(t *testing.T) {
+	cm := dma.DefaultCostModel()
+	for _, tc := range []struct {
+		seed int64
+		f    sysgen.Family
+	}{{11, sysgen.Harmonic}, {13, sysgen.Harmonic}, {11, sysgen.DeepTies}, {12, sysgen.Saturated}} {
+		sc, err := sysgen.Generate(tc.seed, tc.f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := let.Analyze(sc.Sys)
+		if err != nil {
+			t.Fatalf("%s: %v", sc.Name, err)
+		}
+		gamma, err := rta.Gammas(a, rta.LETDemand(a, cm, dma.GiottoPerCommSchedule(a)), 0.2)
+		if err != nil {
+			t.Fatalf("%s: %v", sc.Name, err)
+		}
+		solve := func(cold bool) *Result {
+			res, err := Solve(a, cm, gamma, dma.MinTransfers, Options{
+				MILP: milp.Params{TimeLimit: 60 * time.Second, DisableWarmStart: cold},
+			})
+			if err != nil {
+				t.Fatalf("%s cold=%v: %v", sc.Name, cold, err)
+			}
+			if res.Status != milp.StatusOptimal {
+				t.Fatalf("%s cold=%v: status %s, want optimal", sc.Name, cold, res.Status)
+			}
+			return res
+		}
+		cold, warm := solve(true), solve(false)
+		if warm.Kernel.WarmExpands == 0 {
+			t.Fatalf("%s: warm solve never warm-expanded a node", sc.Name)
+		}
+		if math.Float64bits(warm.Objective) != math.Float64bits(cold.Objective) {
+			t.Errorf("%s: warm objective %.17g, cold %.17g", sc.Name, warm.Objective, cold.Objective)
+		}
+		if n := float64(warm.Sched.NumTransfers()); math.Float64bits(warm.Objective) != math.Float64bits(n) {
+			t.Errorf("%s: objective %.17g, schedule has %g transfers", sc.Name, warm.Objective, n)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package letopt
 import (
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"letdma/internal/dma"
@@ -35,7 +36,9 @@ type Result struct {
 	// with its anytime incumbent) from a numerical retreat (retryable)
 	// from an exhausted budget (final).
 	StopCause milp.StopCause
-	// Objective is the achieved MILP objective (0 for NO-OBJ).
+	// Objective is the achieved MILP objective (0 for NO-OBJ). For
+	// OBJ-DMAT it is the integral transfer count, independent of the LP
+	// vertex the search landed on.
 	Objective float64
 	// BestBound is the proven bound on the objective at termination.
 	BestBound float64
@@ -99,6 +102,16 @@ func Solve(a *let.Analysis, cm dma.CostModel, gamma dma.Deadlines, obj dma.Objec
 	}
 	if sol.X == nil {
 		return res, nil
+	}
+	if obj == dma.MinTransfers {
+		// maxRGI is a continuous column, so its value carries the rounding
+		// of whichever optimal LP vertex the search landed on; the
+		// objective itself is an integral transfer count.
+		n := math.Round(sol.Obj)
+		if math.Abs(sol.Obj-n) > 1e-6 {
+			return nil, fmt.Errorf("letopt: transfer count %v is not integral", sol.Obj)
+		}
+		res.Objective = n
 	}
 	layout, sched, err := f.decode(sol.X)
 	if err != nil {

@@ -114,37 +114,38 @@ type Params struct {
 	// incumbent, bound, decoded solution, node and simplex-iteration
 	// counts — is identical for every n, because nodes are dispatched in
 	// best-bound order in fixed-size epochs and merged in dispatch order
-	// (see parallel.go).
+	// (see parallel.go). Both engines solve nodes warm from the parent
+	// basis and replay bit-identically run to run.
 	Workers int
 	// FastSearch selects the work-stealing engine (fast.go) instead:
 	// per-worker deques with best-bound-biased stealing, a lock-free
-	// incumbent published by monotonic compare-and-swap, and expanded nodes
-	// solved warm from the parent basis (dual repair + true-cost primal
-	// cleanup) with no epoch barrier. Workers sets the worker count
-	// (minimum 1). The returned optimum and status are exact, but the
-	// trajectory — node order, Nodes, SimplexIters, Kernel counters, and
-	// WHICH of several tied optimal solutions is returned — depends on
-	// goroutine scheduling and is NOT reproducible across runs or worker
-	// counts. Deterministic engines replay; FastSearch certifies: callers
-	// that need an audited result gate it through verify.CheckOptimal.
+	// incumbent published by monotonic compare-and-swap, and no epoch
+	// barrier. Workers sets the worker count (minimum 1). The returned
+	// optimum and status are exact, but the trajectory — node order, Nodes,
+	// SimplexIters, Kernel counters, and WHICH of several tied optimal
+	// solutions is returned — depends on goroutine scheduling and is NOT
+	// reproducible across runs or worker counts. Deterministic engines
+	// replay; FastSearch certifies: callers that need an audited result
+	// gate it through verify.CheckOptimal.
 	FastSearch bool
 	// WarmStart, if non-nil, is checked for feasibility and installed as
 	// the initial incumbent.
 	WarmStart []float64
-	// WarmBasis, if non-nil, seeds the root node's dual-simplex warm probe
+	// WarmBasis, if non-nil, seeds the root node's dual-simplex warm solve
 	// with a known basis — typically Solution.RootBasis from a previous
 	// solve of the same model shape. It is validated against the model; an
 	// invalid basis makes Solve return an error.
 	WarmBasis *Basis
-	// DisableWarmStart turns off the dual-simplex warm probes, forcing
-	// every node onto the cold two-phase path. Results are bit-identical
-	// either way; this exists for benchmarking and as an escape hatch.
+	// DisableWarmStart selects the cold path: every node is solved by the
+	// two-phase simplex from the slack basis instead of warm from its
+	// parent's basis. Warm and cold solves agree on status and optimum but
+	// follow different trajectories (a warm solve may land on a different
+	// optimal vertex). verify.CheckOptimal uses the cold path as its
+	// reference oracle, so that its certificate never shares the warm LP
+	// path with the FastSearch result it checks.
 	DisableWarmStart bool
-	// WarmIterLimit bounds the dual-simplex pivots per warm probe before it
-	// falls back to the cold path; 0 means 300. Far-from-cutoff probes bail
-	// much earlier on the stall guard (see dualFathom), so the budget is
-	// really the patience granted to near-cutoff probes, and a few hundred
-	// pivots is still well below the cost of the cold solve a hit avoids.
+	// WarmIterLimit bounds the dual-simplex pivots per warm solve before it
+	// falls back to the cold path; 0 means 300.
 	WarmIterLimit int
 	// BranchPriority, if non-nil, gives per-variable branching priorities
 	// (higher = branch earlier). Among fractional integer variables, the
@@ -201,7 +202,7 @@ type bbNode struct {
 	bound  float64 // parent LP relaxation objective (min sense)
 	depth  int
 	seq    int
-	pbasis *Basis // parent's optimal basis (nil: no warm probe)
+	pbasis *Basis // parent's optimal basis (nil: solve cold)
 }
 
 // searchState is the search context shared by the sequential and the
@@ -221,8 +222,8 @@ type searchState struct {
 	objOffset  float64
 	incumbent  []float64
 	incObj     float64 // minimization objective of incumbent
-	warm       bool    // dual-simplex warm probes enabled
-	warmBudget int     // pivot budget per warm probe
+	warm       bool    // warm solves from the parent basis enabled
+	warmBudget int     // dual pivot budget per warm solve
 	stats      KernelStats
 	rootBasis  *Basis
 	// stopCause holds the FIRST recorded StopCause (0 = none). Atomic
@@ -275,7 +276,7 @@ func prepSearch(m *Model, p Params, start time.Time) (*searchState, *Solution, e
 		}
 	}
 
-	// Minimization form, built once: solveLP and the warm probes are pure
+	// Minimization form, built once: solveLP and the warm solves are pure
 	// functions of it, so sharing one copy across nodes (and workers) is
 	// safe and keeps the per-node LP bit-identical to the historical
 	// per-call negation.
@@ -356,8 +357,8 @@ func (st *searchState) tryIncumbent(x []float64) bool {
 // search exhausted the tree).
 func (st *searchState) finish(openBound float64, nodes, iters int, hitLimit bool) *Solution {
 	bestBound := math.Min(openBound, st.incObj)
-	if st.stats.WarmHits > 0 && st.stats.ColdSolves > 0 {
-		st.stats.Phase1ItersSaved = st.stats.WarmHits * (st.stats.Phase1Iters / st.stats.ColdSolves)
+	if settled := st.stats.WarmHits + st.stats.WarmExpands; settled > 0 && st.stats.ColdSolves > 0 {
+		st.stats.Phase1ItersSaved = settled * (st.stats.Phase1Iters / st.stats.ColdSolves)
 	}
 	sol := &Solution{
 		Nodes: nodes, SimplexIters: iters, Runtime: time.Since(st.start),
@@ -392,8 +393,8 @@ func (st *searchState) finish(openBound float64, nodes, iters int, hitLimit bool
 	}
 	logf(st.p.Log, "done: status=%s obj=%.6g bound=%.6g gap=%.3g nodes=%d iters=%d in %v\n",
 		sol.Status, sol.Obj, sol.BestBound, sol.Gap, sol.Nodes, sol.SimplexIters, sol.Runtime)
-	logf(st.p.Log, "kernel: warm_attempts=%d warm_hits=%d cold_solves=%d cold_fallbacks=%d warm_iters=%d phase1_iters=%d phase1_saved=%d refactors=%d\n",
-		st.stats.WarmAttempts, st.stats.WarmHits, st.stats.ColdSolves, st.stats.ColdFallbacks,
+	logf(st.p.Log, "kernel: warm_attempts=%d warm_hits=%d warm_expands=%d cold_solves=%d cold_fallbacks=%d warm_iters=%d phase1_iters=%d phase1_saved=%d refactors=%d\n",
+		st.stats.WarmAttempts, st.stats.WarmHits, st.stats.WarmExpands, st.stats.ColdSolves, st.stats.ColdFallbacks,
 		st.stats.WarmIters, st.stats.Phase1Iters, st.stats.Phase1ItersSaved, st.stats.Refactorizations)
 	logf(st.p.Log, "kernel/lu: ftran=%d ftran_nnz=%d btran=%d btran_nnz=%d etas=%d eta_nnz=%d lu_nnz=%d\n",
 		st.stats.FtranSolves, st.stats.FtranNnz, st.stats.BtranSolves, st.stats.BtranNnz,
@@ -460,7 +461,7 @@ func Solve(m *Model, p Params) (*Solution, error) {
 			continue
 		}
 
-		nr := st.solveNode(node)
+		nr := st.solveNode(node, st.incObj)
 		st.stats.add(nr.stats)
 		res := nr.lpSolution
 		simplexIters += res.iters
@@ -473,8 +474,8 @@ func Solve(m *Model, p Params) (*Solution, error) {
 			st.noteStop(stopCauseOfLP(res.status))
 			hitLimit = true
 		case lpCutoff, lpInfeasible:
-			// lpCutoff: the warm probe fathomed the node against the
-			// incumbent; the cold path would have pruned it after solving.
+			// lpCutoff: the warm solve fathomed the node against the
+			// incumbent; a full solve would have pruned it after solving.
 			continue
 		case lpUnbounded:
 			if len(st.intVars) == 0 || node.depth == 0 {
@@ -558,10 +559,10 @@ func Solve(m *Model, p Params) (*Solution, error) {
 	return st.finish(ob, nodes, simplexIters, hitLimit), nil
 }
 
-// coldSolve runs the unchanged two-phase simplex on the prebuilt
+// coldSolve runs the two-phase simplex from the slack basis on the prebuilt
 // minimization form, including the objective constant so that LP bounds and
-// incumbent objectives compare directly. It is the authoritative path: every
-// expanded node's relaxation comes from here, warm probes or not.
+// incumbent objectives compare directly. It solves the root, every node when
+// warm starts are disabled, and every node the warm path hands back.
 func (st *searchState) coldSolve(lo, hi []float64) lpSolution {
 	res := solveLP(st.minM, lo, hi, st.deadline)
 	if res.status == lpOptimal {
@@ -578,71 +579,52 @@ type nodeResult struct {
 	stats KernelStats
 }
 
-// solveNode resolves one node's relaxation. With a parent basis available it
-// first runs the dual-simplex warm probe, which either fathoms the node
-// (status lpCutoff or lpInfeasible) or defers to the cold path. It reads
-// searchState immutably plus incObj/incumbent, which the engines only write
-// between nodes (sequential) or between batches (epoch merge), so batch
-// members may run concurrently.
-func (st *searchState) solveNode(node *bbNode) nodeResult {
+// solveNode resolves one node's relaxation against the cutoff incObj (the
+// minimization objective of the incumbent, +Inf when there is none). With a
+// parent basis it runs the warm solve (warmSolveLP), which fathoms the node
+// (lpCutoff or lpInfeasible), returns its true-cost LP optimum, or defers to
+// the cold path. The result is a pure function of (model, node bounds,
+// parent basis, incObj), so every engine may call it concurrently: the
+// sequential and epoch engines pass an incumbent they only write between
+// nodes or batches, FastSearch its published cutoff.
+func (st *searchState) solveNode(node *bbNode, incObj float64) nodeResult {
 	var nr nodeResult
-	probeIters := 0
+	warmIters := 0
 	if st.warm && node.pbasis != nil {
 		nr.stats.WarmAttempts++
-		incObj := math.Inf(1)
-		if st.incumbent != nil {
-			// The cold path prunes at incObj-1e-9; the extra relative
-			// margin on top of the probe's own (see dualFathom) keeps warm
-			// fathoming strictly inside the cold prune region.
-			incObj = st.incObj
-		}
-		out, iters, ctr := warmProbe(st.minM, node.lo, node.hi, node.pbasis,
+		sol, out := warmSolveLP(st.minM, node.lo, node.hi, node.pbasis,
 			incObj, st.intObjGCD, st.objOffset, st.warmBudget, st.deadline)
-		nr.stats.WarmIters += iters
-		nr.stats.addCounters(ctr)
-		probeIters = iters
-		switch out {
-		case probeCutoff:
+		nr.stats.WarmIters += sol.iters
+		nr.stats.addCounters(sol.counters)
+		switch {
+		case out == probeCutoff || out == probeInfeasible:
 			nr.stats.WarmHits++
-			nr.lpSolution = lpSolution{status: lpCutoff, iters: iters}
+			nr.lpSolution = sol
 			return nr
-		case probeInfeasible:
-			nr.stats.WarmHits++
-			nr.lpSolution = lpSolution{status: lpInfeasible, iters: iters}
+		case out == probeOpen:
+			// lpOptimal, or lpUnbounded from a primal-feasible basis; both
+			// are authoritative.
+			if sol.status == lpOptimal {
+				nr.stats.WarmExpands++
+				sol.obj += st.objOffset
+			}
+			nr.lpSolution = sol
 			return nr
-		case probeFallback:
-			nr.stats.ColdFallbacks++
+		case sol.status == lpTimeLimit:
+			// An expired deadline is final; a cold solve would stop too.
+			nr.lpSolution = sol
+			return nr
 		}
+		nr.stats.ColdFallbacks++
+		warmIters = sol.iters
 	}
 	res := st.coldSolve(node.lo, node.hi)
 	nr.stats.ColdSolves++
 	nr.stats.Phase1Iters += res.phase1Iters
 	nr.stats.addCounters(res.counters)
-	res.iters += probeIters
+	res.iters += warmIters
 	nr.lpSolution = res
 	return nr
-}
-
-// solveLPmin solves the relaxation in minimization sense, including the
-// objective constant so that LP bounds and incumbent objectives compare
-// directly.
-func solveLPmin(m *Model, objSign float64, lo, hi []float64, deadline time.Time) lpSolution {
-	var res lpSolution
-	if objSign == 1 {
-		res = solveLP(m, lo, hi, deadline)
-	} else {
-		// Negate the objective for maximization models.
-		neg := *m
-		neg.Obj = Expr{}
-		for _, t := range m.Obj.Terms {
-			neg.Obj.Terms = append(neg.Obj.Terms, Term{Var: t.Var, Coef: -t.Coef})
-		}
-		res = solveLP(&neg, lo, hi, deadline)
-	}
-	if res.status == lpOptimal {
-		res.obj += objSign * m.Obj.Const
-	}
-	return res
 }
 
 // relGap computes the relative optimality gap for minimization values,

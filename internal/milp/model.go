@@ -14,11 +14,11 @@
 //     best-bound/depth-first hybrid node order, warm-start incumbents, a
 //     wall-clock time limit and MIP-gap termination (branch.go);
 //   - a dual-simplex warm-start path (warm.go): each node caches its
-//     final basis and children are first probed from it, fathoming by
-//     bound cutoff or proven infeasibility without a cold phase-1 solve;
-//     anything the probe cannot settle falls back to the cold solve, so
-//     the search trajectory is bit-identical with and without warm
-//     starts (see DESIGN.md section 11);
+//     final basis and children are solved from it, fathoming by bound
+//     cutoff or proven infeasibility, or repairing to the child's LP
+//     optimum without a cold phase-1 solve; anything the warm solve
+//     cannot settle falls back to the cold solve (see DESIGN.md
+//     section 11);
 //   - a light presolve (presolve.go) and an LP-format writer (lpwrite.go).
 //
 // The implementation is deterministic: solving the same model twice yields

@@ -119,10 +119,10 @@ func solveEpochs(m *Model, p Params) (*Solution, error) {
 				hitLimit = true
 				continue
 			case lpCutoff, lpInfeasible:
-				// lpCutoff: the warm probe fathomed the node against the
+				// lpCutoff: the warm solve fathomed the node against the
 				// incumbent as of dispatch time, which is never better than
-				// the merge-time incumbent — the cold path would have
-				// pruned it too.
+				// the merge-time incumbent — a full solve would have been
+				// pruned too.
 				continue
 			case lpUnbounded:
 				if len(st.intVars) == 0 || node.depth == 0 {
@@ -192,8 +192,8 @@ func solveEpochs(m *Model, p Params) (*Solution, error) {
 	return st.finish(ob, nodes, iters, hitLimit), nil
 }
 
-// solveBatch resolves the dispatched nodes (warm probe plus cold solve as
-// needed; see solveNode) with up to `workers` goroutines and returns the
+// solveBatch resolves the dispatched nodes (warm solve, cold solve as the
+// fallback; see solveNode) with up to `workers` goroutines and returns the
 // results indexed like the batch. solveNode only reads search state that is
 // written between batches, so concurrent execution is race-free and the
 // results are independent of which worker computes them.
@@ -204,7 +204,7 @@ func solveBatch(st *searchState, batch []*bbNode, workers int) []nodeResult {
 	}
 	if workers <= 1 {
 		for i, n := range batch {
-			results[i] = st.solveNode(n)
+			results[i] = st.solveNode(n, st.incObj)
 		}
 		return results
 	}
@@ -215,7 +215,7 @@ func solveBatch(st *searchState, batch []*bbNode, workers int) []nodeResult {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				results[i] = st.solveNode(batch[i])
+				results[i] = st.solveNode(batch[i], st.incObj)
 			}
 		}()
 	}

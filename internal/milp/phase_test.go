@@ -52,7 +52,7 @@ func TestPhase1UnboundedSurfacedAsNumerical(t *testing.T) {
 // TestDriveOutArtificials: a degenerate EQ row whose cold-start residual is
 // already zero leaves the phase-1 artificial basic at value zero without a
 // single pivot. The drive-out pass must replace it before the basis is
-// snapshotted, so child warm probes never receive artificial columns.
+// snapshotted, so child warm solves never receive artificial columns.
 func TestDriveOutArtificials(t *testing.T) {
 	m := NewModel()
 	x := m.AddContinuous("x", 0, 5)
@@ -78,20 +78,33 @@ func TestDriveOutArtificials(t *testing.T) {
 		t.Fatalf("snapshot does not validate: %v", err)
 	}
 
-	// Round trip: the snapshot must warm-start a probe on the same box
-	// without hitting the fallback ladder; with no incumbent the probe runs
-	// to primal feasibility and reports the node open.
-	out, _, _ := warmProbe(m, lo, hi, res.basis, math.Inf(1), 0, 0, 300, time.Time{})
-	if out != probeOpen {
-		t.Fatalf("warm probe outcome %v, want probeOpen", out)
+	// Round trip: the snapshot must warm-start a solve on the same box
+	// without hitting the fallback ladder; with no incumbent the warm solve
+	// runs to optimality and reports the cold optimum.
+	warmRoundTrip(t, m, lo, hi, res)
+}
+
+// warmRoundTrip re-solves the box warm from the cold solve's own basis and
+// requires the warm path to settle it (no fallback) at the cold optimum.
+func warmRoundTrip(t *testing.T, m *Model, lo, hi []float64, cold lpSolution) {
+	t.Helper()
+	warm, out := warmSolveLP(m, lo, hi, cold.basis, math.Inf(1), 0, 0, 300, time.Time{})
+	if out != probeOpen || warm.status != lpOptimal {
+		t.Fatalf("warm solve outcome %v status %v, want probeOpen/optimal", out, warm.status)
+	}
+	if math.Abs(warm.obj-cold.obj) > 1e-9 {
+		t.Fatalf("warm optimum %g, cold optimum %g", warm.obj, cold.obj)
+	}
+	if err := warm.basis.validate(len(m.Vars), len(m.Cons)); err != nil {
+		t.Fatalf("warm snapshot does not validate: %v", err)
 	}
 }
 
 // TestDriveOutRedundantEQ: with a scaled-duplicate EQ row the basis over
 // the two rows is singular without an artificial, so exactly the redundant
 // row keeps its pinned artificial — and the snapshot must still round-trip
-// through warmProbe (the probe rebuilds the basis with the artificial
-// pinned to zero, which stays factorizable).
+// through warmSolveLP (the warm solve rebuilds the basis with the
+// artificial pinned to zero, which stays factorizable).
 func TestDriveOutRedundantEQ(t *testing.T) {
 	m := NewModel()
 	x := m.AddInteger("x", 0, 5)
@@ -115,10 +128,7 @@ func TestDriveOutRedundantEQ(t *testing.T) {
 	if arts > 1 {
 		t.Errorf("%d artificials still basic; only the redundant row may keep one", arts)
 	}
-	out, _, _ := warmProbe(m, lo, hi, res.basis, math.Inf(1), 0, 0, 300, time.Time{})
-	if out != probeOpen {
-		t.Fatalf("warm probe outcome %v, want probeOpen", out)
-	}
+	warmRoundTrip(t, m, lo, hi, res)
 
 	// End to end, the full search on the model stays correct.
 	sol := mustSolve(t, m, Params{})

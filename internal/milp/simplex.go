@@ -14,7 +14,7 @@ const (
 	blandAt  = 5000 // iterations before switching to Bland's rule
 	maxIters = 200000
 	// deadlinePollEvery is the shared iteration cadence at which the primal
-	// loop and the dual-simplex probe poll the wall-clock deadline. One
+	// loop and the dual-simplex warm solve poll the wall-clock deadline. One
 	// constant for both paths: polling affects only where a TimeLimit cuts
 	// the search, never the result of an unlimited solve.
 	deadlinePollEvery = 64
@@ -33,9 +33,9 @@ const (
 	lpUnbounded
 	lpIterLimit
 	lpTimeLimit
-	// lpCutoff: the warm dual-simplex probe proved the node's relaxation
+	// lpCutoff: the warm dual-simplex solve proved the node's relaxation
 	// bound exceeds the incumbent cutoff, so the node is fathomed without a
-	// full solve. By weak duality the cold path would have pruned it too.
+	// full solve. By weak duality a full solve would have been pruned too.
 	lpCutoff
 	// lpNumerical: the kernel produced a verdict that is impossible in
 	// exact arithmetic — currently only phase 1 claiming unboundedness,
@@ -159,9 +159,10 @@ type simplexState struct {
 	atouched []int32
 	// certLo/certHi cache the certificate box (see certBox in warm.go).
 	certLo, certHi []float64
-	// pcost, when non-nil, replaces p.c for warm-probe pricing: costs with a
-	// tiny deterministic perturbation that breaks dual degeneracy (see
-	// warmProbe). Certificates always evaluate the true p.c.
+	// pcost, when non-nil, replaces p.c for dual-simplex pricing in warm
+	// solves: costs with a tiny deterministic perturbation that breaks dual
+	// degeneracy (see newWarmState). Certificates always evaluate the true
+	// p.c.
 	pcost []float64
 }
 
@@ -649,7 +650,7 @@ func (s *simplexState) iterate(cost []float64, deadline time.Time) (lpStatus, in
 
 // driveOutArtificials pivots zero-valued basic artificial columns out of
 // the basis after a successful phase 1, so that the snapshot handed to
-// child-node warm probes (and the phase-2 start) is artificial-free
+// child-node warm solves (and the phase-2 start) is artificial-free
 // whenever the matrix allows it. For each basic artificial, the B⁻¹A pivot
 // row is gathered sparsely; the first nonbasic non-artificial column with
 // an acceptable pivot magnitude replaces it in a degenerate (zero-step)

@@ -24,6 +24,28 @@ func solveRelax(t *testing.T, m *Model) lpSolution {
 	return res
 }
 
+// solveLPmin solves the relaxation in minimization sense, including the
+// objective constant so that LP bounds and incumbent objectives compare
+// directly.
+func solveLPmin(m *Model, objSign float64, lo, hi []float64, deadline time.Time) lpSolution {
+	var res lpSolution
+	if objSign == 1 {
+		res = solveLP(m, lo, hi, deadline)
+	} else {
+		// Negate the objective for maximization models.
+		neg := *m
+		neg.Obj = Expr{}
+		for _, t := range m.Obj.Terms {
+			neg.Obj.Terms = append(neg.Obj.Terms, Term{Var: t.Var, Coef: -t.Coef})
+		}
+		res = solveLP(&neg, lo, hi, deadline)
+	}
+	if res.status == lpOptimal {
+		res.obj += objSign * m.Obj.Const
+	}
+	return res
+}
+
 func TestSimplexBasicMax(t *testing.T) {
 	m := NewModel()
 	x := m.AddContinuous("x", 0, Inf)

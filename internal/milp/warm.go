@@ -9,21 +9,23 @@ import (
 // This file implements the dual-simplex warm path of the branch-and-bound
 // search. A child node differs from its parent by a single tightened
 // variable bound, so the parent's optimal basis stays dual-feasible for the
-// child — the textbook dual-simplex warm start. The warm path is a
-// *bounding probe*, not a replacement solver: it either fathoms the node
-// outright (relaxation bound above the incumbent cutoff, or a trusted
-// infeasibility certificate) or hands the node to the unchanged cold
-// two-phase path. Expanded nodes therefore always come from the exact same
-// floating-point computation as before, which keeps the whole search
-// trajectory — incumbents, bounds, branching decisions, node counts —
-// bit-identical to a cold-only run.
+// child — the textbook dual-simplex warm start. warmSolveLP rebuilds that
+// basis on the child's bounds and runs the dual simplex, fathoming the node
+// on the way when a certified bound crosses the incumbent cutoff or a
+// verified Farkas certificate proves it infeasible. Otherwise it repairs
+// primal feasibility, runs a true-cost primal cleanup to optimality and
+// reports the vertex from a fresh factorization. The warm vertex may differ
+// from the one a cold solve of the same node reports (both are optimal), so
+// warm and cold searches agree on status and optimum but not on their
+// trajectories; each one replays bit-identically on its own.
 //
-// Fallback ladder (any rung drops to the cold path):
+// Fallback ladder (any rung drops to the cold two-phase path):
 //  1. snapshot does not fit the child's computational form,
 //  2. singular refactorization of the parent basis,
 //  3. numerically unsafe dual pivot (|pivot| < pivotTol),
-//  4. per-probe pivot budget or the solver deadline exhausted,
-//  5. untrusted infeasibility certificate (violation <= certTrust).
+//  4. per-node dual pivot budget or the solver deadline exhausted,
+//  5. untrusted infeasibility certificate (violation <= certTrust),
+//  6. primal cleanup hits its iteration limit or a singular basis.
 
 const (
 	// certTrust is the minimum primal bound violation for which a
@@ -46,7 +48,7 @@ const (
 )
 
 // Basis is a snapshot of a simplex basis, used to warm-start the
-// dual-simplex probe of child nodes (and, via Params.WarmBasis, re-solves
+// dual-simplex solve of child nodes (and, via Params.WarmBasis, re-solves
 // of the same model). Column indices follow the computational form built by
 // buildLP: structural variables first, then one slack per constraint, then
 // one phase-1 artificial per constraint.
@@ -103,7 +105,7 @@ func (b *Basis) validate(nStruct, rows int) error {
 }
 
 // snapshotBasis captures the current basis of an optimal solve for reuse by
-// child-node warm probes.
+// child-node warm solves.
 func (s *simplexState) snapshotBasis() *Basis {
 	p := s.p
 	b := &Basis{
@@ -129,25 +131,26 @@ func (s *simplexState) snapshotBasis() *Basis {
 // solve. They are merged in node dispatch order, so — like the rest of the
 // Solution — they are identical for every Params.Workers value.
 type KernelStats struct {
-	// WarmAttempts counts nodes that entered the dual-simplex warm probe.
+	// WarmAttempts counts nodes that entered the dual-simplex warm solve.
 	WarmAttempts int
-	// WarmHits counts probes that fathomed their node (incumbent cutoff or
-	// trusted infeasibility certificate) without a cold solve.
+	// WarmHits counts warm solves that fathomed their node (incumbent cutoff
+	// or trusted infeasibility certificate) without a cold solve.
 	WarmHits int
 	// ColdSolves counts full two-phase simplex solves.
 	ColdSolves int
-	// ColdFallbacks counts probes abandoned on the fallback ladder before a
-	// cold solve (numerical safety, pivot budget, deadline).
+	// ColdFallbacks counts warm solves abandoned on the fallback ladder
+	// before a cold solve (numerical safety, pivot budget, deadline).
 	ColdFallbacks int
-	// WarmIters counts dual-simplex pivots spent inside probes.
+	// WarmIters counts simplex pivots spent inside warm solves (dual repair
+	// plus primal cleanup).
 	WarmIters int
 	// Phase1Iters counts phase-1 iterations spent by cold solves.
 	Phase1Iters int
-	// Phase1ItersSaved estimates the phase-1 work avoided by warm hits:
-	// WarmHits times the mean phase-1 iterations per cold solve.
+	// Phase1ItersSaved estimates the phase-1 work the warm path avoided:
+	// (WarmHits + WarmExpands) times the mean phase-1 iterations per cold
+	// solve.
 	Phase1ItersSaved int
-	// Refactorizations counts sparse-LU basis rebuilds across all solves and
-	// probes.
+	// Refactorizations counts sparse-LU basis rebuilds across all solves.
 	Refactorizations int
 	// FtranSolves / BtranSolves count sparse forward/backward solves against
 	// the LU + eta-file representation; FtranNnz / BtranNnz accumulate the
@@ -168,9 +171,7 @@ type KernelStats struct {
 	LuNnz int
 	// WarmExpands counts expanded nodes whose relaxation was solved to
 	// true-cost optimality directly from the parent basis (dual repair plus
-	// primal cleanup) instead of the cold two-phase path. Always 0 for the
-	// deterministic engines, which cold-solve every expanded node to stay
-	// replay-identical; only the FastSearch engine takes this path.
+	// primal cleanup) instead of the cold two-phase path.
 	WarmExpands int
 	// Steals counts work-stealing events (a worker taking a node from
 	// another worker's deque). FastSearch only; 0 otherwise. Like every
@@ -211,12 +212,12 @@ func (k *KernelStats) addCounters(c kernelCounters) {
 	k.LuNnz += c.luNnz
 }
 
-// probeOutcome is the verdict of one warm probe.
+// probeOutcome is the verdict of one warm solve.
 type probeOutcome int
 
 const (
-	// probeOpen: the probe reached primal feasibility below the cutoff; the
-	// node must be expanded, so it goes to the cold path.
+	// probeOpen: the warm solve reached an authoritative LP answer below
+	// the cutoff (dualFathom: primal feasibility); the node is expanded.
 	probeOpen probeOutcome = iota
 	// probeCutoff: the relaxation bound provably exceeds the incumbent
 	// cutoff; the node is fathomed.
@@ -224,38 +225,10 @@ const (
 	// probeInfeasible: a trusted Farkas certificate proves the relaxation
 	// infeasible; the node is fathomed.
 	probeInfeasible
-	// probeFallback: the probe hit the fallback ladder; the node goes to
-	// the cold path undecided.
+	// probeFallback: the warm solve hit the fallback ladder; the node goes
+	// to the cold path undecided.
 	probeFallback
 )
-
-// warmProbe rebuilds the parent basis on the child's bounds and runs the
-// bounded-variable dual simplex until it can fathom the node or must give
-// up. minM is the minimization form of the model; incObj, gcdStep and
-// objOffset mirror the cold path's pruning arithmetic so a warm fathom
-// implies a cold prune. It returns the verdict plus the pivot count and the
-// probe's linear-algebra counters.
-func warmProbe(minM *Model, lo, hi []float64, snap *Basis, incObj, gcdStep, objOffset float64, budget int, deadline time.Time) (probeOutcome, int, kernelCounters) {
-	p := buildLP(minM, lo, hi)
-
-	// Same exact empty-box check as solveLP: fathoming here cannot diverge
-	// from the cold path.
-	for j := 0; j < p.n; j++ {
-		if p.lo[j] > p.hi[j]+feasTol {
-			return probeInfeasible, 0, kernelCounters{}
-		}
-	}
-	s, ok := newWarmState(p, snap)
-	if !ok {
-		var ctr kernelCounters
-		if s != nil {
-			ctr = s.counters
-		}
-		return probeFallback, 0, ctr
-	}
-	out, iters := s.dualFathom(incObj, gcdStep, objOffset, budget, deadline, false)
-	return out, iters, s.counters
-}
 
 // newWarmState rebuilds the parent basis snapshot on an already-built child
 // problem: artificial columns pinned to zero with the snapshot's signs,
@@ -323,16 +296,14 @@ func newWarmState(p *lpProblem, snap *Basis) (*simplexState, bool) {
 	return s, true
 }
 
-// warmSolveLP solves a child node's relaxation from the parent basis all the
-// way to a reportable LP answer, not just a fathoming verdict: the dual
-// simplex repairs primal feasibility (fathoming on the way exactly like
-// warmProbe), then a true-cost primal cleanup runs to optimality and the
-// vertex is reported from a fresh factorization, mirroring solveLP's
-// finalization. Only the FastSearch engine calls this — the deterministic
-// engines must cold-solve expanded nodes to stay replay-identical, because
-// the warm vertex may be a different (equally optimal) vertex than the cold
-// one. Statuses: lpCutoff/lpInfeasible fathom the node, lpOptimal carries
-// x/obj/basis (obj WITHOUT the objective constant, like solveLP),
+// warmSolveLP solves a child node's relaxation from the parent basis to a
+// reportable LP answer: the dual simplex repairs primal feasibility
+// (fathoming on the way against the cutoff incObj, with gcdStep and
+// objOffset mirroring the search's pruning arithmetic so a warm fathom
+// implies a prune), then a true-cost primal cleanup runs to optimality and
+// the vertex is reported from a fresh factorization, mirroring solveLP's
+// finalization. Statuses: lpCutoff/lpInfeasible fathom the node, lpOptimal
+// carries x/obj/basis (obj WITHOUT the objective constant, like solveLP),
 // lpTimeLimit surfaces an expired deadline, and anything the warm path
 // cannot decide authoritatively comes back as probeFallback for a cold
 // re-solve.
@@ -351,7 +322,7 @@ func warmSolveLP(minM *Model, lo, hi []float64, snap *Basis, incObj, gcdStep, ob
 		}
 		return lpSolution{counters: ctr}, probeFallback
 	}
-	out, iters := s.dualFathom(incObj, gcdStep, objOffset, budget, deadline, true)
+	out, iters := s.dualFathom(incObj, gcdStep, objOffset, budget, deadline)
 	sol := lpSolution{iters: iters, counters: s.counters}
 	switch out {
 	case probeCutoff:
@@ -416,8 +387,8 @@ func warmSolveLP(minM *Model, lo, hi []float64, snap *Basis, incObj, gcdStep, ob
 // leave its reduced cost at rounding-noise level rather than exactly zero,
 // and noise times infinity is unbounded. Inequality slacks all have
 // infinite upper bounds, so this is the difference between a dead cutoff
-// test and a working one. The result is cached: probe bounds never change
-// after construction.
+// test and a working one. The result is cached: a warm solve's bounds never
+// change after construction.
 func (s *simplexState) certBox() (lo, hi []float64) {
 	if s.certLo != nil {
 		return s.certLo, s.certHi
@@ -650,39 +621,20 @@ func (s *simplexState) certLowerBound(y []float64) float64 {
 }
 
 // dualFathom runs bounded-variable dual-simplex pivots from the current
-// basis. Each iteration it first tries to fathom on the Lagrangian bound
-// certLowerBound(y) computed for the current basis's dual values y: weak
-// duality makes it a valid relaxation bound for ANY y, so cutoff fathoming
-// is safe whether or not the basis is (numerically) dual-feasible — the
-// certificate evaluation against the original matrix data, not the drifted
-// simplex iterates, is what carries the proof.
-//
-// wantSolve disables the far-from-cutoff stall bailout: a fathoming probe
-// that plateaus without a fathom in reach is wasted work, but a full warm
-// solve (warmSolveLP) wants primal feasibility regardless of where the bound
-// sits, so only the pivot budget and the deadline bound it.
-func (s *simplexState) dualFathom(incObj, gcdStep, objOffset float64, budget int, deadline time.Time, wantSolve bool) (probeOutcome, int) {
+// basis until it is primal feasible (probeOpen), the node is fathomed, or the
+// pivot budget or deadline runs out (probeFallback). Each iteration it first
+// tries to fathom on the Lagrangian bound certLowerBound(y) computed for the
+// current basis's dual values y: weak duality makes it a valid relaxation
+// bound for ANY y, so cutoff fathoming is safe whether or not the basis is
+// (numerically) dual-feasible — the certificate evaluation against the
+// original matrix data, not the drifted simplex iterates, is what carries
+// the proof.
+func (s *simplexState) dualFathom(incObj, gcdStep, objOffset float64, budget int, deadline time.Time) (probeOutcome, int) {
 	p := s.p
 	y := make([]float64, p.m)
 	w := make([]float64, p.m)
 	rho := make([]float64, p.m)
 	sincePivot := 0
-	// Degenerate dual pivots can plateau for long stretches without moving
-	// the bound. When the bound is still far from the cutoff such a probe
-	// will not fathom, so it goes to the cold path early instead of burning
-	// the full budget. Within striking distance — less than about one
-	// representable objective step — plateaus are worth waiting out: on
-	// integer-stepped objectives any real progress rounds up to the cutoff,
-	// so near-cutoff probes keep pivoting until the budget runs out.
-	const stallLimit = 30
-	bestZb, stall := math.Inf(-1), 0
-	stallGap := 0.25 * (1 + math.Abs(incObj))
-	if gcdStep > 0 {
-		stallGap = 1.5 * gcdStep
-	}
-	if math.IsInf(incObj, 1) {
-		stallGap = 0
-	}
 
 	for iters := 0; ; iters++ {
 		if iters >= budget {
@@ -701,20 +653,14 @@ func (s *simplexState) dualFathom(incObj, gcdStep, objOffset float64, budget int
 		// Lower bound of the node relaxation, certified against the
 		// original matrix data for the current (possibly drifted) duals.
 		zb := s.certLowerBound(y) + objOffset
-		zbRaw := zb
 		if gcdStep > 0 {
 			zb = roundBoundUp(zb, gcdStep, objOffset)
 		}
-		// Same prune threshold as the cold path, applied to a bound that is
-		// (margin included) below the true relaxation optimum: if the probe
-		// fathoms, the cold path would have pruned the node too.
+		// Same prune threshold as the search, applied to a bound that is
+		// (margin included) below the true relaxation optimum: if the warm
+		// solve fathoms, a full solve would have been pruned too.
 		if zb > incObj-1e-9 {
 			return probeCutoff, iters
-		}
-		if zbRaw > bestZb+1e-12*(1+math.Abs(bestZb)) {
-			bestZb, stall = zbRaw, 0
-		} else if stall++; !wantSolve && stall > stallLimit && incObj-zb > stallGap {
-			return probeFallback, iters
 		}
 
 		// Leaving row: worst primal bound violation; ties keep the first

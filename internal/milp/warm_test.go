@@ -1,6 +1,7 @@
 package milp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -8,66 +9,107 @@ import (
 	"time"
 )
 
-// scrub zeroes the fields that are allowed to differ between a warm and a
-// cold run of the same model: wall-clock time, iteration accounting and the
-// kernel counters themselves. Everything else — status, incumbent vector,
-// objective, bound, gap, node count — must be bit-identical.
-func scrub(sol *Solution) *Solution {
+// replayScrub zeroes the one field allowed to differ between two runs of
+// the same deterministic solve: wall-clock time. Everything else — status,
+// incumbent, objective, bound, node and iteration counts, kernel counters
+// and the root basis — must replay bit-identically.
+func replayScrub(sol *Solution) *Solution {
 	c := *sol
 	c.Runtime = 0
-	c.SimplexIters = 0
-	c.Kernel = KernelStats{}
-	c.RootBasis = nil
 	return &c
 }
 
-// TestWarmColdEquivalence is the core guarantee of the dual-simplex warm
-// path: on the random-model corpus, for every engine (sequential and epoch)
-// and several worker counts, a warm-started solve returns exactly the same
-// trajectory as a cold one. The warm probe may only fathom nodes the cold
-// path would have pruned anyway, so node counts must match too.
+// decided reports whether a solve ran to a decision, so that its status and
+// objective are a property of the model rather than of the search path.
+func decided(s Status) bool {
+	return s == StatusOptimal || s == StatusInfeasible || s == StatusUnbounded
+}
+
+// warmColdContract checks one model under params p for every deterministic
+// engine (Workers 0, 1 and 4) and returns the warm expansions it saw:
+//
+//   - the cold path (DisableWarmStart) never touches the warm solver;
+//   - warm and cold agree bit-for-bit on the objective, and on the status,
+//     whenever both decided (a node or time limit may cut the two
+//     trajectories at different incumbents);
+//   - the warm solve replays bit-identically run to run, and the epoch
+//     engine's warm trajectory is the same for 1 and 4 workers.
+func warmColdContract(t *testing.T, label string, m *Model, p Params) int {
+	t.Helper()
+	expands := 0
+	var epoch *Solution
+	for _, workers := range []int{0, 1, 4} {
+		pw := p
+		pw.Workers = workers
+		pc := pw
+		pc.DisableWarmStart = true
+		cold := mustSolve(t, m, pc)
+		warm := mustSolve(t, m, pw)
+		if k := cold.Kernel; k.WarmAttempts != 0 || k.WarmExpands != 0 {
+			t.Fatalf("%s workers %d: DisableWarmStart still solved warm: %+v", label, workers, k)
+		}
+		if k := warm.Kernel; k.WarmHits+k.WarmExpands+k.ColdFallbacks > k.WarmAttempts {
+			t.Fatalf("%s workers %d: inconsistent kernel counters %+v", label, workers, k)
+		}
+		expands += warm.Kernel.WarmExpands
+		if decided(cold.Status) && decided(warm.Status) {
+			if cold.Status != warm.Status || math.Float64bits(cold.Obj) != math.Float64bits(warm.Obj) {
+				t.Fatalf("%s workers %d: warm %v/%v, cold %v/%v",
+					label, workers, warm.Status, warm.Obj, cold.Status, cold.Obj)
+			}
+		}
+		again := mustSolve(t, m, pw)
+		if !reflect.DeepEqual(replayScrub(warm), replayScrub(again)) {
+			t.Fatalf("%s workers %d: warm solve does not replay:\nfirst  %+v\nsecond %+v",
+				label, workers, warm, again)
+		}
+		if workers == 0 {
+			continue
+		}
+		if epoch == nil {
+			epoch = warm
+		} else if !reflect.DeepEqual(replayScrub(epoch), replayScrub(warm)) {
+			t.Fatalf("%s: epoch trajectory depends on the worker count:\n1 worker  %+v\n%d workers %+v",
+				label, epoch, workers, warm)
+		}
+	}
+	return expands
+}
+
+// TestWarmColdEquivalence is the contract of the warm-expanded search on the
+// random-model corpus: warm and cold solves reach the same status and
+// objective, and the warm trajectory replays bit-identically run to run and
+// across worker counts (see warmColdContract).
 func TestWarmColdEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	trials := 200
 	if testing.Short() {
 		trials = 50
 	}
-	warmHits := 0
+	expands := 0
 	for trial := 0; trial < trials; trial++ {
 		m := randomModel(rng)
-		for _, workers := range []int{0, 1, 4} {
-			cold := mustSolve(t, m, Params{Workers: workers, DisableWarmStart: true, TimeLimit: 10 * time.Second})
-			warm := mustSolve(t, m, Params{Workers: workers, TimeLimit: 10 * time.Second})
-			if warm.Kernel.ColdFallbacks+warm.Kernel.WarmHits > warm.Kernel.WarmAttempts {
-				t.Fatalf("trial %d workers %d: inconsistent kernel counters %+v", trial, workers, warm.Kernel)
-			}
-			warmHits += warm.Kernel.WarmHits
-			if cold.Kernel.WarmAttempts != 0 || cold.Kernel.WarmHits != 0 {
-				t.Fatalf("trial %d workers %d: DisableWarmStart still probed: %+v", trial, workers, cold.Kernel)
-			}
-			if !reflect.DeepEqual(scrub(cold), scrub(warm)) {
-				t.Fatalf("trial %d workers %d: warm trajectory differs from cold:\ncold %+v\nwarm %+v",
-					trial, workers, cold, warm)
-			}
-		}
+		expands += warmColdContract(t, fmt.Sprintf("trial %d", trial), m, Params{TimeLimit: 10 * time.Second})
 	}
-	// The corpus must actually exercise the warm path, or the equivalence
+	// The corpus must actually exercise the warm path, or the contract
 	// above is vacuous.
-	if warmHits == 0 {
-		t.Fatal("no warm hits across the whole corpus; the probe never fathomed anything")
+	if expands == 0 {
+		t.Fatal("no warm expansions across the whole corpus; every node fell back to the cold path")
 	}
 }
 
-// TestWarmStartWithIncumbentEquivalence repeats the equivalence check in the
+// TestWarmStartWithIncumbentEquivalence repeats the contract in the
 // configuration the production solvers use: a feasible warm-start incumbent
 // plus a node limit. The incumbent makes cutoff fathoming available from the
-// first child on, which is the warm path's bread and butter.
+// first child on, and the node limit pins where a truncated search stops, so
+// its replay is exact too.
 func TestWarmStartWithIncumbentEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	trials := 120
 	if testing.Short() {
 		trials = 30
 	}
+	expands := 0
 	for trial := 0; trial < trials; trial++ {
 		m := randomModel(rng)
 		// Find any feasible point to use as the incumbent.
@@ -75,17 +117,11 @@ func TestWarmStartWithIncumbentEquivalence(t *testing.T) {
 		if probe.X == nil {
 			continue
 		}
-		for _, workers := range []int{0, 1, 4} {
-			p := Params{Workers: workers, WarmStart: probe.X, MaxNodes: 64, TimeLimit: 10 * time.Second}
-			pc := p
-			pc.DisableWarmStart = true
-			cold := mustSolve(t, m, pc)
-			warm := mustSolve(t, m, p)
-			if !reflect.DeepEqual(scrub(cold), scrub(warm)) {
-				t.Fatalf("trial %d workers %d: warm trajectory differs from cold:\ncold %+v\nwarm %+v",
-					trial, workers, cold, warm)
-			}
-		}
+		p := Params{WarmStart: probe.X, MaxNodes: 64, TimeLimit: 10 * time.Second}
+		expands += warmColdContract(t, fmt.Sprintf("trial %d", trial), m, p)
+	}
+	if expands == 0 {
+		t.Fatal("no warm expansions across the whole corpus; every node fell back to the cold path")
 	}
 }
 

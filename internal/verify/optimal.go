@@ -30,7 +30,7 @@ type OptimalOptions struct {
 // deterministic trajectory — milp.Params.FastSearch, whose node order,
 // steal pattern and incumbent publications depend on goroutine
 // scheduling. The deterministic engines are audited by replay (golden
-// trajectories, warm/cold and worker-count bit-identity); FastSearch has
+// trajectories, run-to-run and worker-count bit-identity); FastSearch has
 // no trajectory to replay, so its contract is certified per result:
 //
 //  1. the decoded incumbent is replayed against the paper's feasibility
@@ -39,7 +39,8 @@ type OptimalOptions struct {
 //     from the schedule (Eqs. (4)-(6)) — a solver cannot grade itself;
 //  3. a claimed StatusOptimal must come with a closed gap; and
 //  4. the claimed status and optimum are cross-checked against an
-//     independent deterministic-engine solve of the same instance.
+//     independent deterministic-engine solve of the same instance, on the
+//     cold LP path (see referenceSolve).
 //
 // An undecided side (either engine stopping on a limit) proves nothing
 // and skips the cross-check rather than flagging it; the incumbent
@@ -80,14 +81,7 @@ func CheckOptimal(a *let.Analysis, cm dma.CostModel, gamma dma.Deadlines, obj dm
 	}
 	ref := opts.Reference
 	if ref == nil {
-		tl := opts.TimeLimit
-		if tl == 0 {
-			tl = 30 * time.Second
-		}
-		r, err := letopt.Solve(a, cm, gamma, obj, letopt.Options{
-			Slots: opts.Slots,
-			MILP:  milp.Params{TimeLimit: tl},
-		})
+		r, err := referenceSolve(a, cm, gamma, obj, opts)
 		if err != nil {
 			vs.Addf(violation.Objective, "Differential", "cold deterministic re-solve failed: %v", err)
 			return vs
@@ -113,4 +107,19 @@ func CheckOptimal(a *let.Analysis, cm dma.CostModel, gamma dma.Deadlines, obj dm
 		}
 	}
 	return vs
+}
+
+// referenceSolve is CheckOptimal's own re-solve: the sequential
+// deterministic engine on the cold two-phase path (DisableWarmStart), so the
+// certificate's LP answers never come from warmSolveLP, the path that
+// produced the FastSearch result under audit.
+func referenceSolve(a *let.Analysis, cm dma.CostModel, gamma dma.Deadlines, obj dma.Objective, opts OptimalOptions) (*letopt.Result, error) {
+	tl := opts.TimeLimit
+	if tl == 0 {
+		tl = 30 * time.Second
+	}
+	return letopt.Solve(a, cm, gamma, obj, letopt.Options{
+		Slots: opts.Slots,
+		MILP:  milp.Params{TimeLimit: tl, DisableWarmStart: true},
+	})
 }

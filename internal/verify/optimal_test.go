@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -65,6 +66,27 @@ func TestCheckOptimalCertifiesFastSearch(t *testing.T) {
 	}
 	if vs := CheckOptimal(a, cm, gamma, obj, fast, OptimalOptions{}); len(vs) != 0 {
 		t.Fatalf("self-resolving certificate rejected a correct result:\n%s", vs)
+	}
+}
+
+// TestCheckOptimalReferenceIsCold: CheckOptimal's own re-solve must stay on
+// the cold two-phase path, so the certificate shares no LP code path with the
+// warm-expanded FastSearch result it audits — and it must still prove the
+// same optimum as the (warm) deterministic fixture solve.
+func TestCheckOptimalReferenceIsCold(t *testing.T) {
+	a, cm, gamma, obj, det := optimalFixture(t)
+	ref, err := referenceSolve(a, cm, gamma, obj, OptimalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k := ref.Kernel; k.WarmAttempts != 0 || k.WarmExpands != 0 {
+		t.Fatalf("reference solve used the warm path: %+v", k)
+	}
+	if det.Kernel.WarmExpands == 0 {
+		t.Fatalf("fixture solve never warm-expanded a node, so the contrast is vacuous: %+v", det.Kernel)
+	}
+	if ref.Status != det.Status || math.Float64bits(ref.Objective) != math.Float64bits(det.Objective) {
+		t.Fatalf("cold reference %s/%v, warm fixture %s/%v", ref.Status, ref.Objective, det.Status, det.Objective)
 	}
 }
 
