@@ -30,14 +30,23 @@ vet:
 letvet:
 	$(GO) run ./cmd/letvet -tests -baseline letvet.baseline.json ./...
 
-# Solver benchmarks as run by the CI bench job. The run is diffed against
-# the committed BENCH_milp.json snapshot (deterministic counter drift means
-# the solver trajectory changed); `make bench-update` refreshes the
-# snapshot after an intentional kernel change.
+# Benchmarks as run by the CI bench job, each diffed against its committed
+# snapshot: the solver benchmarks against BENCH_milp.json, the simulator
+# and robustness-margin benchmarks against BENCH_sim.json. Deterministic
+# counter drift (lp_iters, nodes, warm_hits, replays) means the solver
+# trajectory or the margin search changed; `make bench-update` refreshes
+# both snapshots after an intentional change.
+MILP_BENCH = BenchmarkParallelBnB|BenchmarkWarmStartBnB|BenchmarkFastSearchBnB
+SIM_BENCH = BenchmarkRobustness|BenchmarkSimulator
+
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkParallelBnB|BenchmarkWarmStartBnB|BenchmarkFastSearchBnB' -benchtime 1x -count 3 . | tee bench.txt
+	$(GO) test -run '^$$' -bench '$(MILP_BENCH)' -benchtime 1x -count 3 . | tee bench.txt
 	$(GO) run ./cmd/benchjson -diff BENCH_milp.json bench.txt
+	$(GO) test -run '^$$' -bench '$(SIM_BENCH)' -benchmem -benchtime 3x -count 3 . | tee bench_sim.txt
+	$(GO) run ./cmd/benchjson -diff BENCH_sim.json bench_sim.txt
 
 bench-update:
-	$(GO) test -run '^$$' -bench 'BenchmarkParallelBnB|BenchmarkWarmStartBnB|BenchmarkFastSearchBnB' -benchtime 1x -count 3 . | tee bench.txt
+	$(GO) test -run '^$$' -bench '$(MILP_BENCH)' -benchtime 1x -count 3 . | tee bench.txt
 	$(GO) run ./cmd/benchjson -o BENCH_milp.json bench.txt
+	$(GO) test -run '^$$' -bench '$(SIM_BENCH)' -benchmem -benchtime 3x -count 3 . | tee bench_sim.txt
+	$(GO) run ./cmd/benchjson -o BENCH_sim.json bench_sim.txt

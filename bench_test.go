@@ -14,6 +14,7 @@
 //	BenchmarkSensitivity       Section VII alpha sweep
 //	BenchmarkAblation*         DESIGN.md ablations
 //	BenchmarkSimulator         runtime substrate (one hyperperiod)
+//	BenchmarkRobustness        robustness margins (beyond the paper)
 //
 // Reported metrics: "transfers" is the number of DMA transfers at s0,
 // "maxRatio" the objective of Eq. (5), "bestRatio" the strongest per-task
@@ -534,6 +535,31 @@ func BenchmarkSimulator(b *testing.B) {
 			b.Fatal("unexpected Property 3 violations")
 		}
 	}
+}
+
+// BenchmarkRobustness measures the robustness-margin experiment on the
+// full case study (seed 7, two survival trials per rate): one schedule
+// solve, then a critical-slowdown search and a survival sweep per
+// protocol, all replayed through the simulator. "replays" counts the
+// fault-free replays of the four slowdown searches; it is deterministic,
+// so a change in search cost shows as an exact drift.
+func BenchmarkRobustness(b *testing.B) {
+	a := fullWaters(b)
+	cfg := experiments.Config{Alpha: 0.2, Objective: dma.MinDelayRatio}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var replays int
+	for i := 0; i < b.N; i++ {
+		res, err := experiments.Robustness(a, cfg, experiments.RobustnessConfig{Seed: 7, Trials: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		replays = 0
+		for _, m := range res.Margins {
+			replays += m.SearchReplays
+		}
+	}
+	b.ReportMetric(float64(replays), "replays")
 }
 
 // BenchmarkRTA measures the sensitivity-analysis machinery (WCRTs, slacks

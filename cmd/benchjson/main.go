@@ -1,7 +1,8 @@
 // Command benchjson converts the text output of `go test -bench` into a
-// small JSON document, so CI can archive solver benchmarks (LP iteration
-// counts, warm-probe hits, node counts) as a machine-readable artifact
-// next to the human-readable benchstat diff.
+// small JSON document, so CI can archive solver and simulator benchmarks
+// (LP iteration counts, warm_hits and warm_expands, node counts, margin
+// search replays) as a machine-readable artifact next to the
+// human-readable benchstat diff.
 //
 // Usage:
 //
@@ -11,9 +12,10 @@
 //
 // With -diff, the parsed input is compared against a previously committed
 // JSON snapshot and a per-metric delta table is printed instead of JSON.
-// Deterministic solver metrics (lp_iters, nodes, warm_hits) that drift are
-// marked, since they change only when the solver trajectory changes; timing
-// metrics are reported as ratios and never marked.
+// Deterministic metrics (lp_iters, nodes, warm_hits, replays) that drift
+// are marked, since they change only when the solver trajectory or the
+// margin search changes; timing metrics are reported as ratios and never
+// marked.
 //
 // The parser understands the standard benchmark line format
 //
@@ -108,11 +110,12 @@ func parse(r io.Reader) (*Doc, error) {
 	return doc, nil
 }
 
-// deterministicMetrics are solver counters that are a pure function of the
-// solver trajectory: any drift means the search itself changed, not the
-// machine it ran on.
+// deterministicMetrics are counters that are a pure function of the
+// search that produced them — the solver trajectory, or the number of
+// simulator replays of the robustness-margin search: any drift means the
+// search itself changed, not the machine it ran on.
 var deterministicMetrics = map[string]bool{
-	"lp_iters": true, "nodes": true, "warm_hits": true,
+	"lp_iters": true, "nodes": true, "warm_hits": true, "replays": true,
 }
 
 // fold aggregates repeated runs of the same benchmark (-count > 1): the
@@ -184,7 +187,7 @@ func diff(committed, fresh *Doc, w io.Writer) int {
 		}
 	}
 	if drift > 0 {
-		pr("\n%d deterministic metric(s) drifted: the solver trajectory changed; refresh BENCH_milp.json if intended.\n", drift)
+		pr("\n%d deterministic metric(s) drifted: the search changed; refresh the snapshot (make bench-update) if intended.\n", drift)
 	}
 	return drift
 }

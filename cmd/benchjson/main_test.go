@@ -115,3 +115,29 @@ func TestDiffAgainstCommitted(t *testing.T) {
 		t.Fatalf("identical run reported drift:\n%s", out.String())
 	}
 }
+
+// TestReplaysDrift: the margin search's replay count is deterministic, so
+// a change in it is marked as drift while the timing and allocation
+// columns of the same line are not.
+func TestReplaysDrift(t *testing.T) {
+	const robust = "BenchmarkRobustness-8 \t 3\t 330165817 ns/op\t 43.00 replays\t 250719136 B/op\t 216291 allocs/op\n"
+	snapshot := filepath.Join(t.TempDir(), "BENCH_sim.json")
+	if err := run([]string{"-o", snapshot}, strings.NewReader(robust), &bytes.Buffer{}); err != nil {
+		t.Fatal(err)
+	}
+	fresh := strings.NewReplacer("43.00 replays", "67.00 replays", "330165817", "2067804314", "216291", "8047468").Replace(robust)
+	var out bytes.Buffer
+	if err := run([]string{"-diff", snapshot}, strings.NewReader(fresh), &out); err != nil {
+		t.Fatal(err)
+	}
+	text := out.String()
+	var drifted []string
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasSuffix(line, "DRIFT") {
+			drifted = append(drifted, line)
+		}
+	}
+	if len(drifted) != 1 || !strings.Contains(drifted[0], " replays ") {
+		t.Fatalf("want exactly the replays row marked as drift, got %q:\n%s", drifted, text)
+	}
+}

@@ -13,6 +13,7 @@ package dma
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"letdma/internal/let"
@@ -246,23 +247,26 @@ func (s *Schedule) CommTransfer(numComms int) ([]int, error) {
 // removed and the original order preserved. The second return value maps
 // each kept transfer back to its s0 index.
 func (s *Schedule) InducedAt(a *let.Analysis, t timeutil.Time) ([]Transfer, []int) {
-	active := make(map[int]bool)
-	for _, z := range a.ActiveAt(t) {
-		active[z] = true
-	}
-	var kept []Transfer
-	var origin []int
+	active := a.ActiveAt(t) // sorted, so membership is a binary search
+	// One backing array for every kept transfer: a partition of C(s0)
+	// induces at most len(active) communications, in as many transfers.
+	buf := make([]int, 0, len(active))
+	n := min(len(active), len(s.Transfers))
+	kept, origin := make([]Transfer, 0, n), make([]int, 0, n)
 	for g, tr := range s.Transfers {
-		var cs []int
+		start := len(buf)
 		for _, z := range tr.Comms {
-			if active[z] {
-				cs = append(cs, z)
+			if _, ok := slices.BinarySearch(active, z); ok {
+				buf = append(buf, z)
 			}
 		}
-		if len(cs) > 0 {
-			kept = append(kept, Transfer{Comms: cs})
+		if len(buf) > start {
+			kept = append(kept, Transfer{Comms: buf[start:len(buf):len(buf)]})
 			origin = append(origin, g)
 		}
+	}
+	if len(kept) == 0 {
+		return nil, nil
 	}
 	return kept, origin
 }

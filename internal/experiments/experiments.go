@@ -78,8 +78,8 @@ type Config struct {
 	// CPUCostModel defaults to dma.CPUCopyCostModel().
 	CPUCostModel *dma.CostModel
 	// MILPLog, if non-nil, receives the MILP solver's progress lines,
-	// including the per-solve kernel counters (warm-probe hits, cold
-	// fallbacks, phase-1 iterations, refactorizations).
+	// including the per-solve kernel counters (warm_hits, warm_expands,
+	// cold_solves, refactors).
 	MILPLog io.Writer
 	// Interrupt, when non-nil, is passed to the MILP search: closing it
 	// stops the solve at the next node/epoch boundary with the incumbent

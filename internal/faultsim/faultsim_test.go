@@ -10,6 +10,7 @@ import (
 	"letdma/internal/model"
 	"letdma/internal/sim"
 	"letdma/internal/timeutil"
+	"letdma/internal/waters"
 )
 
 func ms(v int64) timeutil.Time { return timeutil.Milliseconds(v) }
@@ -163,12 +164,16 @@ func TestCriticalSlowdownBounds(t *testing.T) {
 	}
 	// The boundary is exact: crit is clean, crit+1 (if below the cap) is not.
 	cfg.fill()
-	ok, err := cfg.clean(crit)
+	r, err := newReplayer(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok, err := r.clean(crit)
 	if err != nil || !ok {
 		t.Fatalf("clean(%d) = %v, %v; want clean", crit, ok, err)
 	}
 	if crit < cfg.MaxSlowdownPermille {
-		ok, err := cfg.clean(crit + 1)
+		ok, err := r.clean(crit + 1)
 		if err != nil || ok {
 			t.Fatalf("clean(%d) = %v, %v; want failing just past the margin", crit+1, ok, err)
 		}
@@ -220,6 +225,72 @@ func TestComputeMarginAllProtocols(t *testing.T) {
 		}
 		if len(m.Survival) != 1 {
 			t.Errorf("%v: %d survival points, want 1", proto, len(m.Survival))
+		}
+	}
+}
+
+// bisectSlowdown is the reference search: a plain bisection of
+// [1000, MaxSlowdownPermille], probing both ends first.
+func bisectSlowdown(t *testing.T, cfg MarginConfig) int64 {
+	t.Helper()
+	cfg.fill()
+	r, err := newReplayer(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean := func(permille int64) bool {
+		ok, err := r.clean(permille)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ok
+	}
+	lo, hi := int64(1000), cfg.MaxSlowdownPermille
+	switch {
+	case !clean(lo):
+		return 0
+	case hi <= lo || clean(hi):
+		return max(lo, hi)
+	}
+	for lo+1 < hi {
+		mid := lo + (hi-lo)/2
+		if clean(mid) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// TestCriticalSlowdownMatchesBisection: the galloping search must find
+// exactly the boundary a plain bisection finds, for every protocol and
+// for caps at nominal, between nominal and the margin, and far above it.
+func TestCriticalSlowdownMatchesBisection(t *testing.T) {
+	a, err := let.Analyze(waters.Lite())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm := dma.DefaultCostModel()
+	solved, err := combopt.Solve(a, cm, nil, dma.MinDelayRatio)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, proto := range []sim.Protocol{sim.Proposed, sim.GiottoCPU, sim.GiottoDMAA, sim.GiottoDMAB} {
+		for _, limit := range []int64{1000, 1500, 2000, 8000, 16000, 1024000} {
+			cfg := MarginConfig{Analysis: a, Cost: cm, Sched: solved.Sched, Protocol: proto, MaxSlowdownPermille: limit}
+			got, err := CriticalSlowdown(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := bisectSlowdown(t, cfg); got != want {
+				t.Errorf("%v cap %d: gallop found %d, bisection %d", proto, limit, got, want)
+			}
+			// Every lite margin lies below the widest cap; a zero CPUCost
+			// must default to the CPU copy model, not stay unscaled.
+			if limit == 1024000 && got == limit {
+				t.Errorf("%v: search hit the %d cap", proto, limit)
+			}
 		}
 	}
 }

@@ -20,7 +20,9 @@ import (
 type MarginConfig struct {
 	Analysis *let.Analysis
 	Cost     dma.CostModel
-	CPUCost  dma.CostModel
+	// CPUCost is the Giotto-CPU copy model (default
+	// dma.CPUCopyCostModel()); the slowdown search scales it there.
+	CPUCost dma.CostModel
 	// Sched is required for sim.Proposed and sim.GiottoDMAB.
 	Sched    *dma.Schedule
 	Protocol sim.Protocol
@@ -28,8 +30,8 @@ type MarginConfig struct {
 	// Hyperperiods per simulation run (default 1).
 	Hyperperiods int
 	// MaxSlowdownPermille caps the critical-slowdown search (default
-	// 1024000, i.e. 1024x nominal copy cost — the search is a bisection,
-	// so a generous cap costs only a handful of extra replays).
+	// 1024000, i.e. 1024x nominal copy cost). The search gallops up from
+	// nominal, so its cost follows the margin, not the cap.
 	MaxSlowdownPermille int64
 	// Rates are the transient-error rates of the survival curve (default
 	// 0.001, 0.01, 0.05, 0.1).
@@ -45,6 +47,12 @@ type MarginConfig struct {
 }
 
 func (cfg *MarginConfig) fill() {
+	if cfg.CPUCost.CopyNsDen == 0 {
+		// Resolved here, not by sim: scaling the zero model would leave
+		// it zero, and sim would then replay the nominal CPU cost at
+		// every slowdown.
+		cfg.CPUCost = dma.CPUCopyCostModel()
+	}
 	if cfg.Hyperperiods == 0 {
 		cfg.Hyperperiods = 1
 	}
@@ -84,7 +92,11 @@ type Margin struct {
 	// nominal run fails; MaxSlowdownPermille means the search cap was
 	// clean.
 	CriticalSlowdownPermille int64
-	Survival                 []SurvivalPoint
+	// SearchReplays is the number of fault-free replays the
+	// critical-slowdown search ran; the survival curve adds
+	// len(Rates)*Trials more.
+	SearchReplays int
+	Survival      []SurvivalPoint
 }
 
 // scaleCost multiplies a cost model's per-byte copy cost by
@@ -115,27 +127,47 @@ func (cfg *MarginConfig) simConfig() sim.Config {
 	}
 }
 
+// replayer runs the replays of one margin analysis on a shared sim.Plan,
+// so the effective schedule and the induced transfers of every instant
+// are built once, not once per replay.
+type replayer struct {
+	cfg  *MarginConfig
+	plan *sim.Plan
+	// searchReplays counts the fault-free replays clean has run.
+	searchReplays int
+}
+
+// newReplayer plans the replays of a filled cfg.
+func newReplayer(cfg *MarginConfig) (*replayer, error) {
+	plan, err := sim.NewPlan(cfg.simConfig())
+	if err != nil {
+		return nil, err
+	}
+	return &replayer{cfg: cfg, plan: plan}, nil
+}
+
 // clean runs the protocol fault-free with copies slowed to
 // permille/1000 of nominal and reports whether LET semantics held
 // (zero deadline misses, zero Property-3 violations).
-func (cfg *MarginConfig) clean(permille int64) (bool, error) {
-	sc := cfg.simConfig()
+func (r *replayer) clean(permille int64) (bool, error) {
+	r.searchReplays++
+	sc := r.cfg.simConfig()
 	// Giotto-CPU performs its copies on the CPUs, so the interference
 	// slowdown applies to the CPU copy model there; the DMA protocols
 	// slow the engine.
-	if cfg.Protocol == sim.GiottoCPU {
+	if r.cfg.Protocol == sim.GiottoCPU {
 		sc.CPUCost = scaleCost(sc.CPUCost, permille)
 	} else {
 		sc.Cost = scaleCost(sc.Cost, permille)
 	}
-	res, err := sim.Run(sc)
+	res, err := r.plan.Run(sc)
 	if err != nil {
 		return false, err
 	}
 	if res.Property3Violations > 0 {
 		return false, nil
 	}
-	for _, task := range cfg.Analysis.Sys.Tasks {
+	for _, task := range r.cfg.Analysis.Sys.Tasks {
 		if res.Stats[task.ID].Misses > 0 {
 			return false, nil
 		}
@@ -143,34 +175,58 @@ func (cfg *MarginConfig) clean(permille int64) (bool, error) {
 	return true, nil
 }
 
-// CriticalSlowdown bisects the largest uniform copy slowdown (permille)
-// in [1000, MaxSlowdownPermille] whose fault-free run is clean. Failure
-// is monotone in the slowdown for these replay semantics, so bisection
-// finds the boundary exactly.
+// CriticalSlowdown finds the largest uniform copy slowdown (permille) in
+// [1000, MaxSlowdownPermille] whose fault-free run is clean. Failure is
+// monotone in the slowdown for these replay semantics, so a doubling
+// gallop from 1000 brackets the boundary and a bisection of the bracket
+// finds it exactly. A margin of m permille costs about log2(m/1000) + 2
+// gallop replays plus log2(m/2) bisection replays, so the search is
+// cheapest for the small margins real schedules have.
 func CriticalSlowdown(cfg MarginConfig) (int64, error) {
 	cfg.fill()
+	r, err := newReplayer(&cfg)
+	if err != nil {
+		return 0, err
+	}
+	return r.criticalSlowdown()
+}
+
+func (r *replayer) criticalSlowdown() (int64, error) {
 	lo := int64(1000)
-	ok, err := cfg.clean(lo)
+	ok, err := r.clean(lo)
 	if err != nil {
 		return 0, err
 	}
 	if !ok {
 		return 0, nil // the nominal run already breaks LET semantics
 	}
-	hi := cfg.MaxSlowdownPermille
+	hi := r.cfg.MaxSlowdownPermille
 	if hi <= lo {
 		return lo, nil
 	}
-	ok, err = cfg.clean(hi)
-	if err != nil {
-		return 0, err
-	}
-	if ok {
-		return hi, nil
+	// Gallop: double the clean bound until a run fails or the cap is
+	// clean. Afterwards lo is clean and hi fails.
+	for {
+		probe := hi
+		if lo <= hi/2 {
+			probe = 2 * lo
+		}
+		ok, err := r.clean(probe)
+		if err != nil {
+			return 0, err
+		}
+		if !ok {
+			hi = probe
+			break
+		}
+		if probe == hi {
+			return hi, nil
+		}
+		lo = probe
 	}
 	for lo+1 < hi {
 		mid := lo + (hi-lo)/2
-		ok, err := cfg.clean(mid)
+		ok, err := r.clean(mid)
 		if err != nil {
 			return 0, err
 		}
@@ -196,6 +252,15 @@ func trialSeed(seed int64, rateIdx, trial int) int64 {
 // Property-3 violations and no halt.
 func SurvivalCurve(cfg MarginConfig) ([]SurvivalPoint, error) {
 	cfg.fill()
+	r, err := newReplayer(&cfg)
+	if err != nil {
+		return nil, err
+	}
+	return r.survivalCurve()
+}
+
+func (r *replayer) survivalCurve() ([]SurvivalPoint, error) {
+	cfg := r.cfg
 	curve := make([]SurvivalPoint, len(cfg.Rates))
 	for ri, rate := range cfg.Rates {
 		pt := SurvivalPoint{Rate: rate, Trials: cfg.Trials}
@@ -205,7 +270,7 @@ func SurvivalCurve(cfg MarginConfig) ([]SurvivalPoint, error) {
 			m.ErrorRate = rate
 			sc := cfg.simConfig()
 			sc.Inject = &m
-			res, err := sim.Run(sc)
+			res, err := r.plan.Run(sc)
 			if err != nil {
 				return nil, fmt.Errorf("faultsim: rate %g trial %d: %w", rate, trial, err)
 			}
@@ -231,14 +296,18 @@ func SurvivalCurve(cfg MarginConfig) ([]SurvivalPoint, error) {
 }
 
 // ComputeMargin bundles the critical slowdown and the survival curve for
-// one protocol into a Margin report.
+// one protocol into a Margin report. Both share one replay plan.
 func ComputeMargin(cfg MarginConfig) (*Margin, error) {
 	cfg.fill()
-	crit, err := CriticalSlowdown(cfg)
+	r, err := newReplayer(&cfg)
 	if err != nil {
 		return nil, err
 	}
-	curve, err := SurvivalCurve(cfg)
+	crit, err := r.criticalSlowdown()
+	if err != nil {
+		return nil, err
+	}
+	curve, err := r.survivalCurve()
 	if err != nil {
 		return nil, err
 	}
@@ -246,6 +315,7 @@ func ComputeMargin(cfg MarginConfig) (*Margin, error) {
 		Protocol:                 cfg.Protocol,
 		Policy:                   cfg.Policy,
 		CriticalSlowdownPermille: crit,
+		SearchReplays:            r.searchReplays,
 		Survival:                 curve,
 	}, nil
 }

@@ -44,11 +44,12 @@ type Result struct {
 	BestBound float64
 	Gap       float64
 	Nodes     int
-	// SimplexIters counts LP iterations (cold pivots plus warm-probe
-	// pivots) across the branch-and-bound search.
+	// SimplexIters counts LP iterations across the branch-and-bound
+	// search: cold two-phase pivots plus every warm-solve pivot (warm_hits,
+	// warm_expands, and warm attempts that fell back to a cold solve).
 	SimplexIters int
-	// Kernel aggregates the simplex-kernel counters: warm-probe hits, cold
-	// fallbacks, phase-1 iterations and refactorizations.
+	// Kernel aggregates the simplex-kernel counters: warm_hits,
+	// warm_expands, cold solves and refactorizations, among others.
 	Kernel  milp.KernelStats
 	Runtime time.Duration
 	// ModelVars/ModelCons describe the formulation size.

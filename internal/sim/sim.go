@@ -36,7 +36,7 @@ package sim
 import (
 	"container/heap"
 	"fmt"
-	"sort"
+	"slices"
 
 	"letdma/internal/dma"
 	"letdma/internal/let"
@@ -293,7 +293,66 @@ type overhead struct {
 }
 
 // Run simulates the configured protocol and returns per-task statistics.
+// It is NewPlan followed by Plan.Run; callers replaying one schedule
+// many times keep the plan instead.
 func Run(cfg Config) (*Result, error) {
+	p, err := NewPlan(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return p.Run(cfg)
+}
+
+// Plan is the cost-independent half of a simulation: the protocol's
+// effective transfer schedule, the induced transfers and task releases
+// of every communication instant, and the job numbering. Replays that
+// differ only in Cost, CPUCost, Inject, Policy or Trace — a margin
+// search, a survival sweep — share one plan. A Plan is read-only after
+// NewPlan, so concurrent Runs on it are safe.
+type Plan struct {
+	a            *let.Analysis
+	sched        *dma.Schedule // Config.Sched as given, for the match check
+	protocol     Protocol
+	hyperperiods int
+	horizon      timeutil.Time
+	perTask      bool // rules R1/R3 readiness; Giotto readiness otherwise
+	steps        []step
+	// jobBase[i] numbers the first job of a.Sys.Tasks[i]; its job
+	// released at k*Period is jobBase[i]+k.
+	jobBase []int
+	numJobs int
+	// coreJobs counts the task jobs of each core; nominalOvs counts the
+	// overhead slices of a fault-free replay.
+	coreJobs   []int
+	nominalOvs int
+}
+
+// step is one communication instant of T* whose induced schedule is
+// non-empty, relative to the start of its hyperperiod.
+type step struct {
+	t0, next timeutil.Time // the instant and the end of its window
+	xfers    []xfer
+	releases []release
+}
+
+// xfer is one induced transfer with its cost-independent attributes.
+type xfer struct {
+	comms []int
+	core  model.CoreID // core of the LET task that programs it
+	size  int64
+}
+
+// release is a task released at a step, with the communications its
+// readiness waits on (G^W and G^R of Algorithm 1).
+type release struct {
+	task  int // index into a.Sys.Tasks
+	comms []int
+}
+
+// NewPlan validates cfg and precomputes everything a replay needs that
+// does not depend on the cost models, the injector, the policy or the
+// trace.
+func NewPlan(cfg Config) (*Plan, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -301,20 +360,81 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Hyperperiods == 0 {
 		cfg.Hyperperiods = 1
 	}
+	sched, perTask := effectiveSchedule(cfg)
+	p := &Plan{
+		a:            a,
+		sched:        cfg.Sched,
+		protocol:     cfg.Protocol,
+		hyperperiods: cfg.Hyperperiods,
+		horizon:      a.H * timeutil.Time(cfg.Hyperperiods),
+		perTask:      perTask,
+		jobBase:      make([]int, len(a.Sys.Tasks)),
+		coreJobs:     make([]int, a.Sys.NumCores),
+	}
+	for i, task := range a.Sys.Tasks {
+		p.jobBase[i] = p.numJobs
+		n := int((p.horizon + task.Period - 1) / task.Period)
+		p.numJobs += n
+		p.coreJobs[task.Core] += n
+	}
+	perXfer := 2 // programming + ISR slices per transfer
+	if cfg.Protocol == GiottoCPU {
+		perXfer = 1 // one CPU copy slice per transfer
+	}
+	instants := a.Instants()
+	for idx, t0 := range instants {
+		induced, _ := sched.InducedAt(a, t0)
+		if len(induced) == 0 {
+			continue
+		}
+		st := step{t0: t0, next: a.H}
+		if idx+1 < len(instants) {
+			st.next = instants[idx+1]
+		}
+		st.xfers = make([]xfer, len(induced))
+		for gi, tx := range induced {
+			core := model.CoreID(a.LocalMemory(tx.Comms[0]))
+			st.xfers[gi] = xfer{comms: tx.Comms, core: core, size: dma.TransferSize(a, tx)}
+			p.nominalOvs += perXfer * cfg.Hyperperiods
+		}
+		for i, task := range a.Sys.Tasks {
+			if int64(t0)%int64(task.Period) != 0 {
+				continue // not released at this instant
+			}
+			ws, rs := a.GroupsFor(t0, task.ID)
+			st.releases = append(st.releases, release{task: i, comms: append(ws, rs...)})
+		}
+		p.steps = append(p.steps, st)
+	}
+	return p, nil
+}
+
+// Run replays cfg on the plan. cfg must name the plan's Analysis, Sched,
+// Protocol and Hyperperiods; Cost, CPUCost, Inject, Policy and Trace are
+// free per run.
+func (p *Plan) Run(cfg Config) (*Result, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	if cfg.Hyperperiods == 0 {
+		cfg.Hyperperiods = 1
+	}
+	if cfg.Analysis != p.a || cfg.Sched != p.sched || cfg.Protocol != p.protocol || cfg.Hyperperiods != p.hyperperiods {
+		return nil, fmt.Errorf("sim: Config does not match the plan (Analysis, Sched, Protocol and Hyperperiods must be the plan's)")
+	}
 	if cfg.CPUCost.CopyNsDen == 0 {
 		cfg.CPUCost = dma.CPUCopyCostModel()
 	}
-	sched, cost, perTask, err := effectiveSchedule(cfg)
-	if err != nil {
-		return nil, err
+	cost := cfg.Cost
+	if p.protocol == GiottoCPU {
+		cost = cfg.CPUCost
 	}
-
-	horizon := a.H * timeutil.Time(cfg.Hyperperiods)
-	tl := commTimeline(a, cost, sched, perTask, horizon, cfg.Protocol == GiottoCPU, cfg.Trace, cfg.Inject, cfg.Policy)
+	a := p.a
+	tl := p.replay(cost, cfg.Trace, cfg.Inject, cfg.Policy)
 
 	res := &Result{
-		Stats:               make(map[model.TaskID]*TaskStats),
-		LatencyAt:           make(map[model.TaskID]map[timeutil.Time]timeutil.Time),
+		Stats:               make(map[model.TaskID]*TaskStats, len(a.Sys.Tasks)),
+		LatencyAt:           make(map[model.TaskID]map[timeutil.Time]timeutil.Time, len(a.Sys.Tasks)),
 		Property3Violations: tl.p3viol,
 		Violations:          tl.vs,
 		DegradedAt:          tl.degraded,
@@ -324,64 +444,73 @@ func Run(cfg Config) (*Result, error) {
 		Halted:              tl.halted,
 		HaltedAt:            tl.haltedAt,
 	}
-	for _, task := range a.Sys.Tasks {
-		res.Stats[task.ID] = &TaskStats{Name: task.Name}
-		res.LatencyAt[task.ID] = make(map[timeutil.Time]timeutil.Time)
-	}
 
-	// Per-core job lists.
-	type coreJobs struct{ jobs []*job }
-	cores := make([]coreJobs, a.Sys.NumCores)
-	for _, task := range a.Sys.Tasks {
-		for rel := timeutil.Time(0); rel < horizon; rel += task.Period {
-			ready := rel
-			if r, ok := tl.readyAt[taskInstant{task.ID, rel}]; ok {
-				ready = r
-			}
+	// Per-core job lists, carved from one allocation: task jobs in (task,
+	// release) order, then the overhead slices in replay order; the
+	// position is the FIFO tie-break.
+	perCore := slices.Clone(p.coreJobs)
+	for _, ov := range tl.ovs {
+		perCore[ov.core]++
+	}
+	all := make([]job, p.numJobs+len(tl.ovs))
+	cores := make([][]job, a.Sys.NumCores)
+	off := 0
+	for c, n := range perCore {
+		cores[c] = all[off : off : off+n]
+		off += n
+	}
+	stats := make([]*TaskStats, len(a.Sys.Tasks)) // by TaskID
+	for i, task := range a.Sys.Tasks {
+		st := &TaskStats{Name: task.Name}
+		res.Stats[task.ID] = st
+		stats[task.ID] = st
+		latAt := make(map[timeutil.Time]timeutil.Time, p.horizon/task.Period)
+		res.LatencyAt[task.ID] = latAt
+		ji := p.jobBase[i]
+		for rel := timeutil.Time(0); rel < p.horizon; rel += task.Period {
+			ready := tl.readyAt[ji]
 			lat := ready - rel
-			st := res.Stats[task.ID]
 			st.Jobs++
 			st.TotalLatency += lat
 			if lat > st.MaxLatency {
 				st.MaxLatency = lat
 			}
-			if tl.staleJobs[taskInstant{task.ID, rel}] {
+			if tl.staleJob != nil && tl.staleJob[ji] {
 				st.StaleReads++
 			}
-			res.LatencyAt[task.ID][rel] = lat
-			cores[task.Core].jobs = append(cores[task.Core].jobs, &job{
+			latAt[rel] = lat
+			cores[task.Core] = append(cores[task.Core], job{
 				task: task.ID, prio: task.Priority, ready: ready,
 				rem: task.WCET, release: rel, deadline: rel + task.Period,
 			})
+			ji++
 		}
 	}
 	for _, ov := range tl.ovs {
-		cores[ov.core].jobs = append(cores[ov.core].jobs, &job{
-			task: -1, prio: -1, ready: ov.start, rem: ov.dur,
-		})
+		cores[ov.core] = append(cores[ov.core], job{task: -1, prio: -1, ready: ov.start, rem: ov.dur})
 	}
 
 	for c := range cores {
-		finishes, segs := simulateCore(cores[c].jobs)
+		segs := simulateCore(cores[c], cfg.Trace != nil)
 		if cfg.Trace != nil {
 			track := fmt.Sprintf("core%d", c)
 			for _, sg := range segs {
 				if sg.j.task < 0 {
-					continue // overheads already traced by commTimeline
+					continue // overheads already traced by replay
 				}
 				cfg.Trace.Span(track, a.Sys.Task(sg.j.task).Name, trace.CatJob, sg.start, sg.end-sg.start)
 			}
 		}
-		for j, fin := range finishes {
+		for k := range cores[c] {
+			j := &cores[c][k]
 			if j.task < 0 {
 				continue
 			}
-			st := res.Stats[j.task]
-			resp := fin - j.release
-			if resp > st.MaxResponse {
+			st := stats[j.task]
+			if resp := j.finish - j.release; resp > st.MaxResponse {
 				st.MaxResponse = resp
 			}
-			if fin > j.deadline {
+			if j.finish > j.deadline {
 				st.Misses++
 			}
 		}
@@ -389,45 +518,34 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// effectiveSchedule resolves the transfer schedule, cost model and
-// readiness rule for the protocol.
-func effectiveSchedule(cfg Config) (*dma.Schedule, dma.CostModel, bool, error) {
-	a := cfg.Analysis
+// effectiveSchedule resolves the transfer schedule and readiness rule of
+// the protocol (per-task readiness only for Proposed). cfg is validated.
+func effectiveSchedule(cfg Config) (*dma.Schedule, bool) {
 	switch cfg.Protocol {
 	case Proposed:
-		return cfg.Sched, cfg.Cost, true, nil
-	case GiottoDMAA:
-		return dma.GiottoPerCommSchedule(a), cfg.Cost, false, nil
+		return cfg.Sched, true
 	case GiottoDMAB:
-		return dma.GiottoReorder(a, cfg.Sched), cfg.Cost, false, nil
-	case GiottoCPU:
-		return dma.GiottoPerCommSchedule(a), cfg.CPUCost, false, nil
-	default:
-		return nil, dma.CostModel{}, false, fmt.Errorf("sim: unknown protocol %d", cfg.Protocol)
+		return dma.GiottoReorder(cfg.Analysis, cfg.Sched), false
+	default: // GiottoCPU, GiottoDMAA
+		return dma.GiottoPerCommSchedule(cfg.Analysis), false
 	}
-}
-
-// taskInstant keys the readiness map.
-type taskInstant struct {
-	task model.TaskID
-	rel  timeutil.Time
 }
 
 // timeline is the outcome of replaying every communication sequence:
 // task readiness, CPU overhead slices, and — under fault injection — the
 // structured deviation report.
 type timeline struct {
-	readyAt   map[taskInstant]timeutil.Time
-	ovs       []overhead
-	p3viol    int
-	vs        violation.List
-	degraded  map[timeutil.Time]bool
-	staleJobs map[taskInstant]bool
-	retries   int
-	aborted   int
-	stale     int
-	halted    bool
-	haltedAt  timeutil.Time
+	readyAt  []timeutil.Time // per job number (see Plan.jobBase)
+	staleJob []bool          // per job number; nil without injection
+	ovs      []overhead
+	p3viol   int
+	vs       violation.List
+	degraded map[timeutil.Time]bool
+	retries  int
+	aborted  int
+	stale    int
+	halted   bool
+	haltedAt timeutil.Time
 }
 
 // markDegraded records that the sequence at absolute instant t deviated
@@ -439,35 +557,76 @@ func (tl *timeline) markDegraded(t timeutil.Time) {
 	tl.degraded[t] = true
 }
 
-// commTimeline plays the transfer sequences of every communication instant
-// in [0, horizon) and returns the timeline: task readiness times, CPU
-// overhead slices, the number of Property-3 violations and, when inj is
-// non-nil, the structured fault report. When cpuCopies is true the copy
-// time itself is also charged to the local core (Giotto-CPU).
-func commTimeline(a *let.Analysis, cost dma.CostModel, sched *dma.Schedule, perTaskReady bool, horizon timeutil.Time, cpuCopies bool, tr *trace.Trace, inj Injector, policy DegradePolicy) *timeline {
-	tl := &timeline{
-		readyAt:   make(map[taskInstant]timeutil.Time),
-		staleJobs: make(map[taskInstant]bool),
-	}
+// transferName names induced transfer gi at instant t0 ("d3@5ms") in
+// trace spans and violation messages.
+func transferName(gi int, t0 timeutil.Time) string {
+	return fmt.Sprintf("d%d@%v", gi+1, t0)
+}
 
-	instants := a.Instants()
+// charge books one transfer attempt starting at s and returns its end:
+// the programming overhead on core, the copy on the DMA and the ISR — or,
+// when cpuCopies is set (Giotto-CPU), one CPU slice covering setup and
+// copy. name is only read when tr is non-nil.
+func (tl *timeline) charge(s timeutil.Time, core model.CoreID, cost dma.CostModel, copyT timeutil.Time, cpuCopies bool, tr *trace.Trace, name string) timeutil.Time {
+	prog, isr := cost.ProgramOverhead, cost.ISROverhead
+	var track string
+	if tr != nil {
+		track = fmt.Sprintf("core%d", core)
+	}
+	if cpuCopies {
+		tl.ovs = append(tl.ovs, overhead{core: core, start: s, dur: prog + copyT})
+		if tr != nil {
+			tr.Span(track, "copy "+name, trace.CatOverhead, s, prog+copyT)
+		}
+		return s + prog + copyT + isr
+	}
+	tl.ovs = append(tl.ovs, overhead{core: core, start: s, dur: prog})
+	if tr != nil {
+		tr.Span(track, "program "+name, trace.CatOverhead, s, prog)
+		tr.Span("dma", name, trace.CatCopy, s+prog, copyT)
+	}
+	s += prog + copyT
+	tl.ovs = append(tl.ovs, overhead{core: core, start: s, dur: isr})
+	if tr != nil {
+		tr.Span(track, "isr "+name, trace.CatOverhead, s, isr)
+	}
+	return s + isr
+}
+
+// replay plays the transfer sequences of every communication instant in
+// [0, horizon) and returns the timeline: task readiness times, CPU
+// overhead slices, the number of Property-3 violations and, when inj is
+// non-nil, the structured fault report. Under Giotto-CPU the copy time
+// itself is also charged to the local core.
+func (p *Plan) replay(cost dma.CostModel, tr *trace.Trace, inj Injector, policy DegradePolicy) *timeline {
+	a := p.a
+	cpuCopies := p.protocol == GiottoCPU
+	tl := &timeline{readyAt: make([]timeutil.Time, p.numJobs)}
+	tl.ovs = make([]overhead, 0, p.nominalOvs)
+	for i, task := range a.Sys.Tasks {
+		ji := p.jobBase[i]
+		for rel := timeutil.Time(0); rel < p.horizon; rel += task.Period {
+			tl.readyAt[ji] = rel // until a sequence makes the job wait
+			ji++
+		}
+	}
+	// Per-communication completion time and staleness of the current
+	// sequence, valid only where the stamp equals the sequence number.
+	doneAt := make([]timeutil.Time, a.NumComms())
+	doneSeq := make([]int, a.NumComms())
+	var staleSeq []int
+	if inj != nil {
+		tl.staleJob = make([]bool, p.numJobs)
+		staleSeq = make([]int, a.NumComms())
+	}
+	seq := 0
+
 	dmaFree := timeutil.Time(0) // when the engine finished the previous burst
-	for hp := timeutil.Time(0); hp < horizon && !tl.halted; hp += a.H {
-		for idx, t0 := range instants {
-			t := hp + t0
-			if t >= horizon {
-				break
-			}
-			induced, _ := sched.InducedAt(a, t0)
-			if len(induced) == 0 {
-				continue
-			}
-			var next timeutil.Time
-			if idx+1 < len(instants) {
-				next = hp + instants[idx+1]
-			} else {
-				next = hp + a.H
-			}
+	for hp := timeutil.Time(0); hp < p.horizon && !tl.halted; hp += a.H {
+		for si := range p.steps {
+			st := &p.steps[si]
+			t, next := hp+st.t0, hp+st.next
+			seq++
 			s := t
 			if dmaFree > s {
 				s = dmaFree // previous burst spilled over (Property 3 broken)
@@ -475,48 +634,26 @@ func commTimeline(a *let.Analysis, cost dma.CostModel, sched *dma.Schedule, perT
 					tl.markDegraded(t)
 				}
 			}
-			commDone := make(map[int]timeutil.Time, a.NumComms())
-			staleComms := make(map[int]bool)
 			hardFault := false
-			for gi, tx := range induced {
-				core := model.CoreID(a.LocalMemory(tx.Comms[0]))
-				prog := cost.ProgramOverhead
-				nominal := cost.CopyCost(dma.TransferSize(a, tx))
-				isr := cost.ISROverhead
-				coreTrack := fmt.Sprintf("core%d", core)
-				name := fmt.Sprintf("d%d@%v", gi+1, t0)
+			for gi := range st.xfers {
+				tx := &st.xfers[gi]
+				nominal := cost.CopyCost(tx.size)
+				var name string
+				if tr != nil {
+					name = transferName(gi, st.t0)
+				}
 
 				if inj == nil {
 					// Nominal replay: exactly the paper's cost model.
-					copyT := nominal
-					if cpuCopies {
-						// The CPU performs the copy itself: one overhead slice
-						// covering setup + copy; no ISR.
-						tl.ovs = append(tl.ovs, overhead{core: core, start: s, dur: prog + copyT})
-						if tr != nil {
-							tr.Span(coreTrack, "copy "+name, trace.CatOverhead, s, prog+copyT)
-						}
-						s += prog + copyT + isr
-					} else {
-						tl.ovs = append(tl.ovs, overhead{core: core, start: s, dur: prog})
-						if tr != nil {
-							tr.Span(coreTrack, "program "+name, trace.CatOverhead, s, prog)
-							tr.Span("dma", name, trace.CatCopy, s+prog, copyT)
-						}
-						s += prog + copyT
-						tl.ovs = append(tl.ovs, overhead{core: core, start: s, dur: isr})
-						if tr != nil {
-							tr.Span(coreTrack, "isr "+name, trace.CatOverhead, s, isr)
-						}
-						s += isr
-					}
-					for _, z := range tx.Comms {
-						commDone[z] = s
+					s = tl.charge(s, tx.core, cost, nominal, cpuCopies, tr, name)
+					for _, z := range tx.comms {
+						doneAt[z], doneSeq[z] = s, seq
 					}
 					continue
 				}
 
 				// Faulted replay: attempt / backoff / retry loop.
+				prog, isr := cost.ProgramOverhead, cost.ISROverhead
 				done, failed := false, false
 				budget := inj.MaxRetries()
 				wait := timeutil.Time(0) // backoff owed before the next attempt
@@ -527,7 +664,7 @@ func commTimeline(a *let.Analysis, cost dma.CostModel, sched *dma.Schedule, perT
 					}
 					if verdict == AttemptDropped {
 						tl.vs.Addf(violation.RetryExhausted, "Section V (runtime)",
-							"transfer %s hard-dropped by the DMA engine", name)
+							"transfer %s hard-dropped by the DMA engine", transferName(gi, st.t0))
 						failed = true
 						break
 					}
@@ -538,36 +675,19 @@ func commTimeline(a *let.Analysis, cost dma.CostModel, sched *dma.Schedule, perT
 						// is not charged — the engine would not have waited.
 						tl.vs.Addf(violation.Overrun, "Constraint 10",
 							"transfer %s: attempt %d would end %v past the window end %v; aborted",
-							name, attempt+1, s+wait+prog+copyT+isr-next, next)
+							transferName(gi, st.t0), attempt+1, s+wait+prog+copyT+isr-next, next)
 						failed = true
 						break
 					}
 					attName := name
 					if attempt > 0 {
-						attName = fmt.Sprintf("%s#retry%d", name, attempt)
+						if tr != nil {
+							attName = fmt.Sprintf("%s#retry%d", name, attempt)
+						}
 						tl.retries++
 						tl.markDegraded(t)
 					}
-					s += wait
-					if cpuCopies {
-						tl.ovs = append(tl.ovs, overhead{core: core, start: s, dur: prog + copyT})
-						if tr != nil {
-							tr.Span(coreTrack, "copy "+attName, trace.CatOverhead, s, prog+copyT)
-						}
-						s += prog + copyT + isr
-					} else {
-						tl.ovs = append(tl.ovs, overhead{core: core, start: s, dur: prog})
-						if tr != nil {
-							tr.Span(coreTrack, "program "+attName, trace.CatOverhead, s, prog)
-							tr.Span("dma", attName, trace.CatCopy, s+prog, copyT)
-						}
-						s += prog + copyT
-						tl.ovs = append(tl.ovs, overhead{core: core, start: s, dur: isr})
-						if tr != nil {
-							tr.Span(coreTrack, "isr "+attName, trace.CatOverhead, s, isr)
-						}
-						s += isr
-					}
+					s = tl.charge(s+wait, tx.core, cost, copyT, cpuCopies, tr, attName)
 					if verdict == AttemptOK {
 						done = true
 						break
@@ -576,7 +696,7 @@ func commTimeline(a *let.Analysis, cost dma.CostModel, sched *dma.Schedule, perT
 					// and retry while budget remains.
 					if attempt >= budget {
 						tl.vs.Addf(violation.RetryExhausted, "Section V (runtime)",
-							"transfer %s failed %d attempts (budget %d retries)", name, attempt+1, budget)
+							"transfer %s failed %d attempts (budget %d retries)", transferName(gi, st.t0), attempt+1, budget)
 						failed = true
 						break
 					}
@@ -584,8 +704,8 @@ func commTimeline(a *let.Analysis, cost dma.CostModel, sched *dma.Schedule, perT
 					wait = inj.Backoff(attempt + 1)
 				}
 				if done {
-					for _, z := range tx.Comms {
-						commDone[z] = s
+					for _, z := range tx.comms {
+						doneAt[z], doneSeq[z] = s, seq
 					}
 					continue
 				}
@@ -593,12 +713,12 @@ func commTimeline(a *let.Analysis, cost dma.CostModel, sched *dma.Schedule, perT
 					tl.aborted++
 					hardFault = true
 					tl.markDegraded(t)
-					for _, z := range tx.Comms {
-						staleComms[z] = true
+					for _, z := range tx.comms {
+						staleSeq[z] = seq
 						tl.stale++
 						tl.vs.Addf(violation.StaleRead, "Section V (runtime)",
 							"%s at t=%v reads the previous-cycle value (transfer %s did not complete)",
-							a.CommString(z), t, name)
+							a.CommString(z), t, transferName(gi, st.t0))
 					}
 					if policy == FailFast {
 						break
@@ -626,34 +746,27 @@ func commTimeline(a *let.Analysis, cost dma.CostModel, sched *dma.Schedule, perT
 				break
 			}
 			// Readiness.
-			for _, task := range a.Sys.Tasks {
-				if int64(t0)%int64(task.Period) != 0 {
-					continue // not released at this instant
-				}
-				key := taskInstant{task.ID, t}
-				ws, rs := a.GroupsFor(t0, task.ID)
-				groups := append(append([]int(nil), ws...), rs...)
-				if perTaskReady && !(inj != nil && policy == WaitAll && hardFault) {
-					last := t
-					for _, z := range groups {
-						if d, ok := commDone[z]; ok && d > last {
-							last = d
+			perTask := p.perTask && !(inj != nil && policy == WaitAll && hardFault)
+			for _, r := range st.releases {
+				task := a.Sys.Tasks[r.task]
+				ji := p.jobBase[r.task] + int(t/task.Period)
+				ready := end
+				if perTask {
+					ready = t
+					for _, z := range r.comms {
+						if doneSeq[z] == seq && doneAt[z] > ready {
+							ready = doneAt[z]
 						}
 					}
-					tl.readyAt[key] = last
-				} else {
-					// Giotto readiness — also the WaitAll fallback for an
-					// instant with an unrecoverable fault or overrun.
-					tl.readyAt[key] = end
 				}
-				for _, z := range groups {
-					if staleComms[z] {
-						tl.staleJobs[key] = true
-						break
-					}
+				// Otherwise Giotto readiness — also the WaitAll fallback for
+				// an instant with an unrecoverable fault or overrun.
+				tl.readyAt[ji] = ready
+				if staleSeq != nil && slices.ContainsFunc(r.comms, func(z int) bool { return staleSeq[z] == seq }) {
+					tl.staleJob[ji] = true
 				}
-				if tr != nil && tl.readyAt[key] > t {
-					tr.Mark(fmt.Sprintf("core%d", task.Core), task.Name+" ready", trace.CatReady, tl.readyAt[key])
+				if tr != nil && ready > t {
+					tr.Mark(fmt.Sprintf("core%d", task.Core), task.Name+" ready", trace.CatReady, ready)
 				}
 			}
 		}
@@ -670,6 +783,7 @@ type job struct {
 	rem      timeutil.Time
 	release  timeutil.Time
 	deadline timeutil.Time
+	finish   timeutil.Time // set by simulateCore
 	seq      int
 }
 
@@ -700,16 +814,12 @@ type segment struct {
 }
 
 // simulateCore runs preemptive fixed-priority scheduling over the given
-// jobs and returns each job's finish time plus the execution segments.
-func simulateCore(jobs []*job) (map[*job]timeutil.Time, []segment) {
-	finishes := make(map[*job]timeutil.Time, len(jobs))
+// jobs, numbering them by position (the FIFO tie-break) and setting each
+// job's finish time. The execution segments are recorded only when
+// traced is set.
+func simulateCore(jobs []job, traced bool) []segment {
 	var segs []segment
-	arrivals := append([]*job(nil), jobs...)
-	for i, j := range arrivals {
-		j.seq = i
-	}
-	sort.SliceStable(arrivals, func(i, k int) bool { return arrivals[i].ready < arrivals[k].ready })
-
+	arrivals := arrivalOrder(jobs)
 	var ready jobHeap
 	now := timeutil.Time(0)
 	i := 0
@@ -728,7 +838,7 @@ func simulateCore(jobs []*job) (map[*job]timeutil.Time, []segment) {
 		}
 		j := ready.PopJob()
 		if j.rem == 0 {
-			finishes[j] = now
+			j.finish = now
 			continue
 		}
 		// Run until completion or the next arrival, whichever is first.
@@ -739,12 +849,14 @@ func simulateCore(jobs []*job) (map[*job]timeutil.Time, []segment) {
 			until = now + j.rem
 		}
 		if now+j.rem <= until {
-			segs = append(segs, segment{j: j, start: now, end: now + j.rem})
+			if traced {
+				segs = append(segs, segment{j: j, start: now, end: now + j.rem})
+			}
 			now += j.rem
 			j.rem = 0
-			finishes[j] = now
+			j.finish = now
 		} else {
-			if until > now {
+			if traced && until > now {
 				segs = append(segs, segment{j: j, start: now, end: until})
 			}
 			j.rem -= until - now
@@ -752,5 +864,56 @@ func simulateCore(jobs []*job) (map[*job]timeutil.Time, []segment) {
 			ready.PushJob(j)
 		}
 	}
-	return finishes, segs
+	return segs
+}
+
+// arrivalOrder numbers jobs by position and returns them ordered by
+// (ready, seq), i.e. stably by readiness. The list is a concatenation of
+// a few long runs already in that order — each task's releases, the
+// overhead slices — so merging its maximal runs pairwise costs
+// O(n log runs) where a comparison sort costs O(n log n).
+func arrivalOrder(jobs []job) []*job {
+	a := make([]*job, len(jobs))
+	runs := []int{0} // run starts, then len(jobs)
+	for i := range jobs {
+		jobs[i].seq = i
+		a[i] = &jobs[i]
+		if i > 0 && jobs[i].ready < jobs[i-1].ready {
+			runs = append(runs, i)
+		}
+	}
+	runs = append(runs, len(jobs))
+	if len(runs) <= 2 {
+		return a
+	}
+	b := make([]*job, len(jobs))
+	for len(runs) > 2 {
+		// Merge runs 2k and 2k+1 into b. Runs stay contiguous in seq, so
+		// taking the left run on equal readiness keeps the seq order.
+		w := 0
+		for r := 0; r+1 < len(runs); r += 2 {
+			lo, mid, hi := runs[r], runs[r+1], runs[r+1]
+			if r+2 < len(runs) {
+				hi = runs[r+2]
+			}
+			i, j, k := lo, mid, lo
+			for ; i < mid && j < hi; k++ {
+				if a[j].ready < a[i].ready {
+					b[k] = a[j]
+					j++
+				} else {
+					b[k] = a[i]
+					i++
+				}
+			}
+			k += copy(b[k:], a[i:mid])
+			copy(b[k:], a[j:hi])
+			runs[w] = lo
+			w++
+		}
+		runs[w] = len(jobs)
+		runs = runs[:w+1]
+		a, b = b, a
+	}
+	return a
 }

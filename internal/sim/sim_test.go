@@ -3,6 +3,8 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -44,31 +46,35 @@ func optimizedSchedule(t *testing.T, a *let.Analysis) *dma.Schedule {
 }
 
 func TestSimulateCorePreemption(t *testing.T) {
-	lo := &job{task: 1, prio: 5, ready: 0, rem: ms(5), release: 0, deadline: ms(100)}
-	hi := &job{task: 2, prio: 1, ready: ms(2), rem: ms(2), release: ms(2), deadline: ms(100)}
-	fin, _ := simulateCore([]*job{lo, hi})
-	if fin[hi] != ms(4) {
-		t.Errorf("high-priority finish = %v, want 4ms", fin[hi])
+	jobs := []job{
+		{task: 1, prio: 5, ready: 0, rem: ms(5), release: 0, deadline: ms(100)},
+		{task: 2, prio: 1, ready: ms(2), rem: ms(2), release: ms(2), deadline: ms(100)},
 	}
-	if fin[lo] != ms(7) {
-		t.Errorf("low-priority finish = %v, want 7ms (preempted)", fin[lo])
+	simulateCore(jobs, false)
+	if hi := jobs[1].finish; hi != ms(4) {
+		t.Errorf("high-priority finish = %v, want 4ms", hi)
+	}
+	if lo := jobs[0].finish; lo != ms(7) {
+		t.Errorf("low-priority finish = %v, want 7ms (preempted)", lo)
 	}
 }
 
 func TestSimulateCoreIdleGap(t *testing.T) {
-	j1 := &job{task: 1, prio: 1, ready: 0, rem: ms(1), deadline: ms(10)}
-	j2 := &job{task: 2, prio: 1, ready: ms(5), rem: ms(1), release: ms(5), deadline: ms(15)}
-	fin, _ := simulateCore([]*job{j1, j2})
-	if fin[j1] != ms(1) || fin[j2] != ms(6) {
-		t.Errorf("finishes = %v, %v; want 1ms, 6ms", fin[j1], fin[j2])
+	jobs := []job{
+		{task: 1, prio: 1, ready: 0, rem: ms(1), deadline: ms(10)},
+		{task: 2, prio: 1, ready: ms(5), rem: ms(1), release: ms(5), deadline: ms(15)},
+	}
+	simulateCore(jobs, false)
+	if jobs[0].finish != ms(1) || jobs[1].finish != ms(6) {
+		t.Errorf("finishes = %v, %v; want 1ms, 6ms", jobs[0].finish, jobs[1].finish)
 	}
 }
 
 func TestSimulateCoreZeroWCET(t *testing.T) {
-	j := &job{task: 1, prio: 1, ready: ms(3), rem: 0, release: ms(3), deadline: ms(10)}
-	fin, _ := simulateCore([]*job{j})
-	if fin[j] != ms(3) {
-		t.Errorf("zero-WCET finish = %v, want 3ms", fin[j])
+	jobs := []job{{task: 1, prio: 1, ready: ms(3), rem: 0, release: ms(3), deadline: ms(10)}}
+	simulateCore(jobs, false)
+	if jobs[0].finish != ms(3) {
+		t.Errorf("zero-WCET finish = %v, want 3ms", jobs[0].finish)
 	}
 }
 
@@ -375,21 +381,21 @@ func TestAvgLatency(t *testing.T) {
 // must NOT preempt the running one — the running job keeps its earlier ready
 // time, so it wins every heap comparison until it completes.
 func TestEqualPriorityFIFO(t *testing.T) {
-	mk := func(id model.TaskID, prio int, ready, rem timeutil.Time) *job {
-		return &job{task: id, prio: prio, ready: ready, rem: rem}
+	mk := func(id model.TaskID, prio int, ready, rem timeutil.Time) job {
+		return job{task: id, prio: prio, ready: ready, rem: rem}
 	}
 
 	t.Run("no-preemption-on-later-release", func(t *testing.T) {
 		// A ready at 0, B at 5, both priority 2 with 10ms of work: A must run
 		// to completion at 10 before B starts, so B finishes at 20.
-		jobA := mk(0, 2, ms(0), ms(10))
-		jobB := mk(1, 2, ms(5), ms(10))
-		finishes, segs := simulateCore([]*job{jobA, jobB})
-		if finishes[jobA] != ms(10) {
-			t.Errorf("A finished at %v, want 10ms (uninterrupted)", finishes[jobA])
+		jobs := []job{mk(0, 2, ms(0), ms(10)), mk(1, 2, ms(5), ms(10))}
+		jobA, jobB := &jobs[0], &jobs[1]
+		segs := simulateCore(jobs, true)
+		if jobA.finish != ms(10) {
+			t.Errorf("A finished at %v, want 10ms (uninterrupted)", jobA.finish)
 		}
-		if finishes[jobB] != ms(20) {
-			t.Errorf("B finished at %v, want 20ms (strictly after A)", finishes[jobB])
+		if jobB.finish != ms(20) {
+			t.Errorf("B finished at %v, want 20ms (strictly after A)", jobB.finish)
 		}
 		// A must occupy the core continuously over [0, 10ms]: segments may be
 		// split at B's arrival instant, but no B segment may interleave and
@@ -415,32 +421,52 @@ func TestEqualPriorityFIFO(t *testing.T) {
 	t.Run("equal-ready-runs-in-sequence-order", func(t *testing.T) {
 		// Same priority, same readiness: arrival order (the order jobs are
 		// handed to simulateCore, which assigns seq) decides.
-		jobA := mk(0, 3, ms(0), ms(4))
-		jobB := mk(1, 3, ms(0), ms(4))
-		finishes, _ := simulateCore([]*job{jobA, jobB})
-		if finishes[jobA] != ms(4) || finishes[jobB] != ms(8) {
-			t.Errorf("finishes A=%v B=%v, want A=4ms B=8ms (FIFO by seq)", finishes[jobA], finishes[jobB])
+		jobs := []job{mk(0, 3, ms(0), ms(4)), mk(1, 3, ms(0), ms(4))}
+		simulateCore(jobs, false)
+		if jobs[0].finish != ms(4) || jobs[1].finish != ms(8) {
+			t.Errorf("finishes A=%v B=%v, want A=4ms B=8ms (FIFO by seq)", jobs[0].finish, jobs[1].finish)
 		}
 		// Swapped input order swaps the outcome symmetrically.
-		jobA2 := mk(0, 3, ms(0), ms(4))
-		jobB2 := mk(1, 3, ms(0), ms(4))
-		finishes2, _ := simulateCore([]*job{jobB2, jobA2})
-		if finishes2[jobB2] != ms(4) || finishes2[jobA2] != ms(8) {
-			t.Errorf("finishes B=%v A=%v, want B=4ms A=8ms (FIFO by seq)", finishes2[jobB2], finishes2[jobA2])
+		swapped := []job{mk(1, 3, ms(0), ms(4)), mk(0, 3, ms(0), ms(4))}
+		simulateCore(swapped, false)
+		if swapped[0].finish != ms(4) || swapped[1].finish != ms(8) {
+			t.Errorf("finishes B=%v A=%v, want B=4ms A=8ms (FIFO by seq)", swapped[0].finish, swapped[1].finish)
 		}
 	})
 
 	t.Run("higher-priority-still-preempts", func(t *testing.T) {
 		// The tie-break must not weaken real preemption: a higher-priority
 		// (numerically lower) job released mid-run does slice the low one.
-		lo := mk(0, 5, ms(0), ms(10))
-		hi := mk(1, 1, ms(5), ms(2))
-		finishes, _ := simulateCore([]*job{lo, hi})
-		if finishes[hi] != ms(7) {
-			t.Errorf("high-priority finished at %v, want 7ms", finishes[hi])
+		jobs := []job{mk(0, 5, ms(0), ms(10)), mk(1, 1, ms(5), ms(2))}
+		simulateCore(jobs, false)
+		if hi := jobs[1].finish; hi != ms(7) {
+			t.Errorf("high-priority finished at %v, want 7ms", hi)
 		}
-		if finishes[lo] != ms(12) {
-			t.Errorf("low-priority finished at %v, want 12ms (preempted for 2ms)", finishes[lo])
+		if lo := jobs[0].finish; lo != ms(12) {
+			t.Errorf("low-priority finished at %v, want 12ms (preempted for 2ms)", lo)
 		}
 	})
+}
+
+// TestArrivalOrderIsStableByReadiness: the run-merging arrival order must
+// equal a stable sort by readiness — (ready, position) — for lists with
+// any run structure and many ties.
+func TestArrivalOrderIsStableByReadiness(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		jobs := make([]job, rng.Intn(60))
+		for i := range jobs {
+			jobs[i].ready = timeutil.Time(rng.Intn(8))
+		}
+		want := make([]int, len(jobs))
+		for i := range want {
+			want[i] = i
+		}
+		sort.SliceStable(want, func(x, y int) bool { return jobs[want[x]].ready < jobs[want[y]].ready })
+		for i, j := range arrivalOrder(jobs) {
+			if j.seq != want[i] {
+				t.Fatalf("trial %d: position %d holds job %d, want %d", trial, i, j.seq, want[i])
+			}
+		}
+	}
 }
