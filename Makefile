@@ -36,7 +36,7 @@ letvet:
 # counter drift (lp_iters, nodes, warm_hits, replays) means the solver
 # trajectory or the margin search changed; `make bench-update` refreshes
 # both snapshots after an intentional change.
-MILP_BENCH = BenchmarkParallelBnB|BenchmarkWarmStartBnB|BenchmarkFastSearchBnB
+MILP_BENCH = BenchmarkWarmStartBnB|BenchmarkFastSearchBnB
 SIM_BENCH = BenchmarkRobustness|BenchmarkSimulator
 
 bench:

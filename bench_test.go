@@ -208,65 +208,15 @@ func BenchmarkMILPFullWaters(b *testing.B) {
 	b.Logf("MILP status: %s", status)
 }
 
-// BenchmarkParallelBnB measures the epoch-synchronized branch and bound on
-// the WATERS (lite) instance under OBJ-DMAT at 1 and 4 workers. The node
-// budget fixes the explored tree: both runs visit the identical nodes and
-// return the identical solution — the determinism tests pin that — so the
-// wall-clock difference is purely the concurrent LP solves of each epoch's
-// batch. The speedup requires runtime.NumCPU() > 1; on a single-CPU host
-// the worker counts tie (the guarantee is "never different results", not
-// "always faster"). The full WATERS model is excluded deliberately: its
-// root relaxation alone exceeds any sensible benchmark budget, so runs on
-// it only ever measure the time limit.
-func BenchmarkParallelBnB(b *testing.B) {
-	if testing.Short() {
-		b.Skip("node-bounded MILP search takes tens of seconds")
-	}
-	a := mustAnalyze(b, waters.Lite())
-	cm := dma.DefaultCostModel()
-	comb, err := combopt.Solve(a, cm, nil, dma.MinTransfers)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
-			var nodes, iters int
-			for i := 0; i < b.N; i++ {
-				res, err := letopt.Solve(a, cm, nil, dma.MinTransfers, letopt.Options{
-					MILP:       milp.Params{MaxNodes: 128, Workers: workers},
-					WarmLayout: comb.Layout,
-					WarmSched:  comb.Sched,
-					Slots:      12,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Sched == nil {
-					b.Fatal("MILP returned no solution")
-				}
-				nodes = res.Nodes
-				iters = res.SimplexIters
-			}
-			b.ReportMetric(float64(nodes), "nodes")
-			b.ReportMetric(float64(iters), "lp_iters")
-		})
-	}
-}
-
 // BenchmarkFastSearchBnB measures the discovery regime — no warm start, no
 // node budget, solve to proven optimality — on the WATERS (lite) OBJ-DMAT
-// instance, epoch-synchronized engine vs FastSearch at the same worker
-// count. Discovery is where the epoch barrier hurts most: until the first
-// incumbent lands, nothing prunes, so the epoch engine pays full-frontier
-// waves while FastSearch's depth-first workers reach incumbents in
-// milliseconds and prune the rest of the tree against them. Both engines
-// prove the same optimum (the certificate tests pin that); only "transfers"
-// is reported because FastSearch's nodes and lp_iters legitimately vary
-// with goroutine scheduling and must not be gated as deterministic metrics.
-// The full WATERS model is excluded for the same reason as in
-// BenchmarkParallelBnB: its cold root relaxation exceeds the kernel's
-// numerical footing, so discovery runs on it measure the early stop, not
-// the search.
+// instance, the deterministic depth-first engine vs FastSearch at 4
+// workers. Both engines prove the same optimum (the certificate tests pin
+// that); only "transfers" is reported because FastSearch's nodes and
+// lp_iters legitimately vary with goroutine scheduling and must not be
+// gated as deterministic metrics. The full WATERS model is excluded: its
+// cold root relaxation exceeds the kernel's numerical footing, so
+// discovery runs on it measure the early stop, not the search.
 func BenchmarkFastSearchBnB(b *testing.B) {
 	if testing.Short() {
 		b.Skip("discovery MILP solve takes tens of seconds")
@@ -277,7 +227,7 @@ func BenchmarkFastSearchBnB(b *testing.B) {
 		name string
 		fast bool
 	}{
-		{"epoch", false},
+		{"dfs", false},
 		{"fast", true},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
@@ -321,8 +271,7 @@ var warmStartSetup struct {
 // (warm_expands) instead of a full two-phase solve. Both runs prove the
 // same optimum but explore different trees, because a warm solve may land
 // on a different optimal vertex than a cold one; lp_iters measures the
-// simplex work of each route. Every metric is deterministic and
-// Workers-invariant; workers only shrink the wall clock.
+// simplex work of each route. Every metric is deterministic.
 func BenchmarkWarmStartBnB(b *testing.B) {
 	if testing.Short() {
 		b.Skip("full MILP solve takes minutes")
@@ -338,7 +287,7 @@ func BenchmarkWarmStartBnB(b *testing.B) {
 		s.a = a
 		cm := dma.DefaultCostModel()
 		s.res, s.err = letopt.Solve(a, cm, nil, dma.MinTransfers, letopt.Options{
-			MILP:  milp.Params{Workers: 4, TimeLimit: 10 * time.Minute},
+			MILP:  milp.Params{TimeLimit: 10 * time.Minute},
 			Slots: 6,
 		})
 	})
@@ -361,7 +310,7 @@ func BenchmarkWarmStartBnB(b *testing.B) {
 			var kern milp.KernelStats
 			for i := 0; i < b.N; i++ {
 				res, err := letopt.Solve(s.a, cm, nil, dma.MinTransfers, letopt.Options{
-					MILP: milp.Params{Workers: 4, TimeLimit: 10 * time.Minute,
+					MILP: milp.Params{TimeLimit: 10 * time.Minute,
 						DisableWarmStart: cfg.disable},
 					WarmLayout: s.res.Layout,
 					WarmSched:  s.res.Sched,
@@ -381,8 +330,7 @@ func BenchmarkWarmStartBnB(b *testing.B) {
 			b.ReportMetric(float64(kern.WarmExpands), "warm_expands")
 			// Sparse-kernel activity: mean nonzeros per FTRAN result (how
 			// much sparsity the LU + eta representation exploits) and total
-			// eta-file entries. Both are deterministic and Workers-invariant,
-			// like lp_iters.
+			// eta-file entries. Both are deterministic, like lp_iters.
 			if kern.FtranSolves > 0 {
 				b.ReportMetric(float64(kern.FtranNnz)/float64(kern.FtranSolves), "ftran_avg_nnz")
 			}

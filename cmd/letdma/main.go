@@ -26,7 +26,7 @@
 // the optimality certificate); fig2/table1/campaign/robust accept -csv.
 //
 // SIGINT or SIGTERM during a long MILP solve stops the search at the next
-// node or epoch boundary and reports the incumbent anytime solution; the
+// node boundary and reports the incumbent anytime solution; the
 // process then exits with code 3 instead of dying with no output. An
 // explicit -timeout arms the same stop as a wall-clock budget for the
 // whole command.
@@ -67,7 +67,7 @@ func main() {
 
 // run wires SIGINT and SIGTERM to the cooperative solver interrupt and
 // dispatches. The first signal asks the MILP search to stop at its next
-// node or epoch boundary; if the command still completes with output (the
+// node boundary; if the command still completes with output (the
 // incumbent anytime solution), the process exits with code 3 so scripts —
 // and supervisors that terminate with SIGTERM — can tell an
 // interrupted-but-useful run from a clean one.
@@ -213,7 +213,7 @@ func commonFlags(fs *flag.FlagSet) *common {
 		solver:  fs.String("solver", "comb", "solver: comb | milp"),
 		timeout: fs.Duration("timeout", 0, "wall-clock budget for the whole command: when it expires the solver stops at the next boundary and reports the incumbent anytime solution (exit code 3); each MILP solve additionally keeps its 60s default time limit (0 = no budget)"),
 		slots:   fs.Int("slots", 0, "MILP transfer slots (0 = |C(s0)|)"),
-		workers: fs.Int("workers", 0, "worker goroutines for experiment fan-out and branch-and-bound (0 = sequential; results are identical for every count)"),
+		workers: fs.Int("workers", 0, "worker goroutines for experiment fan-out, and for branch-and-bound with -fast only (0 = sequential; without -fast, results are identical for every count)"),
 		fast:    fs.Bool("fast", false, "use the work-stealing FastSearch MILP engine: same certified optimum, faster wall clock, but node order (and which of several tied optima is returned) depends on goroutine scheduling — audit results with 'verify -fast'"),
 		milplog: fs.Bool("milplog", false, "write MILP solver progress and kernel counters (warm hits, cold fallbacks, phase-1 iterations, LU refactorizations, ftran/btran sparsity, eta-file growth) to stderr"),
 	}
@@ -664,7 +664,7 @@ func newVerifyFlags(fs *flag.FlagSet, defaultN int) *verifyFlags {
 		seed:       fs.Int64("seed", 1, "base generator seed (failures reproduce from it)"),
 		n:          fs.Int("n", defaultN, "number of scenarios to check"),
 		family:     fs.String("family", "", "restrict to one scenario family (harmonic | coprime | stars | single-core | saturated | extremes | deep-ties)"),
-		workers:    fs.Int("workers", 0, "worker goroutines for the solvers (0 = sequential; reports are identical for every count)"),
+		workers:    fs.Int("workers", 0, "worker goroutines for the combinatorial solver, and for branch-and-bound with -fast only (0 = sequential; reports are identical for every count)"),
 		timeout:    fs.Duration("timeout", 5*time.Second, "MILP time limit per instance"),
 		exhaustive: fs.Int64("exhaustive", 0, "brute-force candidate budget (0 = harness default)"),
 		fast:       fs.Bool("fast", false, "also run the FastSearch MILP engine on every tractable instance, gated through the optimality certificate (verify.CheckOptimal)"),

@@ -117,9 +117,9 @@ func runInterrupted(t *testing.T, args ...string) int {
 }
 
 // TestInterruptExitCode: an interrupted MILP solve still reports the
-// incumbent anytime solution and exits with the distinct code 3, for
-// both the sequential and parallel search engines. A command that errors
-// keeps exit code 1 even when interrupted.
+// incumbent anytime solution and exits with the distinct code 3, with
+// and without the Table I cell fan-out. A command that errors keeps exit
+// code 1 even when interrupted.
 func TestInterruptExitCode(t *testing.T) {
 	for _, w := range []string{"0", "2"} {
 		if got := runInterrupted(t, "table1", "-lite", "-solver", "milp", "-workers", w); got != 3 {
@@ -183,7 +183,7 @@ func runInterruptedCapture(t *testing.T, args ...string) (int, string) {
 
 // TestInterruptFlushesIncumbent: the exit-code-3 path is only useful if
 // the anytime solution actually reached stdout before the process died.
-// For the deterministic engines AND FastSearch, an interrupted schedule
+// For the depth-first engine AND FastSearch, an interrupted schedule
 // solve must still print the full layout + transfer-schedule report of
 // the incumbent (here the combopt warm start, which seeds both engines).
 func TestInterruptFlushesIncumbent(t *testing.T) {
@@ -192,7 +192,6 @@ func TestInterruptFlushesIncumbent(t *testing.T) {
 		args []string
 	}{
 		{"sequential", []string{"schedule", "-lite", "-solver", "milp", "-workers", "0"}},
-		{"epoch", []string{"schedule", "-lite", "-solver", "milp", "-workers", "2"}},
 		{"fast", []string{"schedule", "-lite", "-solver", "milp", "-fast", "-workers", "1"}},
 		{"fast-parallel", []string{"schedule", "-lite", "-solver", "milp", "-fast", "-workers", "4"}},
 	} {
@@ -211,9 +210,9 @@ func TestInterruptFlushesIncumbent(t *testing.T) {
 }
 
 // TestMilpLogKernelLine: -milplog ends with the kernel counter lines, and
-// the "kernel:" line reports how many nodes the deterministic engines
+// the "kernel:" line reports how many nodes the depth-first engine
 // warm-expanded from their parent basis. The instance is a small generated
-// system, so both engines prove it optimal in well under a second.
+// system, so the engine proves it optimal in well under a second.
 func TestMilpLogKernelLine(t *testing.T) {
 	sc, err := sysgen.Generate(11, sysgen.Harmonic)
 	if err != nil {
@@ -231,23 +230,21 @@ func TestMilpLogKernelLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	expands := regexp.MustCompile(`(?m)^kernel: warm_attempts=\d+ warm_hits=\d+ warm_expands=(\d+) cold_solves=\d+ `)
-	for _, w := range []string{"0", "2"} {
-		code, stderr := captureStderr(t, func() int {
-			return run([]string{"schedule", "-f", path, "-solver", "milp", "-obj", "dmat", "-milplog", "-workers", w})
-		})
-		if code != 0 {
-			t.Fatalf("-workers %s: exit code %d, want 0 (stderr: %s)", w, code, stderr)
-		}
-		m := expands.FindStringSubmatch(stderr)
-		if m == nil {
-			t.Fatalf("-workers %s: no kernel line with warm_expands; stderr:\n%s", w, stderr)
-		}
-		if n, _ := strconv.Atoi(m[1]); n == 0 {
-			t.Errorf("-workers %s: warm_expands=0, the search never warm-expanded a node", w)
-		}
-		if !strings.Contains(stderr, "kernel/lu: ftran=") {
-			t.Errorf("-workers %s: stderr lacks the kernel/lu line", w)
-		}
+	code, stderr := captureStderr(t, func() int {
+		return run([]string{"schedule", "-f", path, "-solver", "milp", "-obj", "dmat", "-milplog"})
+	})
+	if code != 0 {
+		t.Fatalf("exit code %d, want 0 (stderr: %s)", code, stderr)
+	}
+	m := expands.FindStringSubmatch(stderr)
+	if m == nil {
+		t.Fatalf("no kernel line with warm_expands; stderr:\n%s", stderr)
+	}
+	if n, _ := strconv.Atoi(m[1]); n == 0 {
+		t.Error("warm_expands=0, the search never warm-expanded a node")
+	}
+	if !strings.Contains(stderr, "kernel/lu: ftran=") {
+		t.Error("stderr lacks the kernel/lu line")
 	}
 }
 

@@ -10,9 +10,9 @@ import (
 // that escape to a goroutine — the function literal of a `go` statement,
 // or a literal handed to a function that (transitively) invokes it from a
 // goroutine, per the spawn summaries of callgraph.go; that second form is
-// how it sees through worker pools like experiments.forEachIndexed and the
-// epoch batch dispatcher — and flags every write to a captured variable
-// inside them that has no synchronization discipline. Such a write is a
+// how it sees through worker pools like experiments.forEachIndexed — and
+// flags every write to a captured variable inside them that has no
+// synchronization discipline. Such a write is a
 // data race, and even when it happens to survive the race detector it
 // makes results depend on goroutine scheduling, which is exactly what the
 // repository's Workers-invariance guarantee (bit-identical output for

@@ -1,5 +1,5 @@
-// Fixture for the sharedwrite analyzer, modeled on the repository's epoch
-// worker pool: closures handed to forEachIndexed run on worker goroutines,
+// Fixture for the sharedwrite analyzer, modeled on the repository's
+// experiment worker pool: closures handed to forEachIndexed run on worker goroutines,
 // so unguarded writes to captured variables depend on goroutine schedule.
 package sharedwrite
 
@@ -29,10 +29,10 @@ func forEachIndexed(n, workers int, fn func(int)) {
 	wg.Wait()
 }
 
-// solveBatch is the seeded bug: the pre-indexed slot write is the sanctioned
+// doubleBatch is the seeded bug: the pre-indexed slot write is the sanctioned
 // pattern, but the captured node counter races and makes the count depend on
 // the schedule — exactly what Workers-invariance forbids.
-func solveBatch(batch []int, workers int) ([]int, int) {
+func doubleBatch(batch []int, workers int) ([]int, int) {
 	nodes := 0
 	results := make([]int, len(batch))
 	forEachIndexed(len(batch), workers, func(i int) {

@@ -63,9 +63,9 @@ type Config struct {
 	Slots int
 	// Workers bounds the experiment fan-out (Table I cells, Fig. 2 rows)
 	// and is passed through to the solvers: combopt explores granularities
-	// concurrently and the MILP switches to its epoch-synchronized engine,
-	// whose results are identical for every worker count >= 1. 0 or 1 is
-	// fully sequential.
+	// concurrently, and a FastSearch MILP runs that many workers. Without
+	// FastSearch, results are identical for every count. 0 or 1 is fully
+	// sequential.
 	Workers int
 	// FastSearch switches the MILP to the nondeterministic work-stealing
 	// engine (milp.Params.FastSearch): same certified optimum, no
@@ -82,7 +82,7 @@ type Config struct {
 	// cold_solves, refactors).
 	MILPLog io.Writer
 	// Interrupt, when non-nil, is passed to the MILP search: closing it
-	// stops the solve at the next node/epoch boundary with the incumbent
+	// stops the solve at the next node boundary with the incumbent
 	// anytime solution. letdma wires SIGINT to this.
 	Interrupt <-chan struct{}
 }
@@ -289,7 +289,7 @@ func Fig2Sweep(a *let.Analysis, alphas []float64, objs []dma.Objective, base Con
 		cfg := base
 		cfg.Alpha = cells[i].alpha
 		cfg.Objective = cells[i].obj
-		cfg.Workers = perCellWorkers(base.Workers)
+		cfg.Workers = 1 // the cells already saturate the pool
 		res, err := Fig2(a, cfg)
 		if err != nil {
 			return err
@@ -341,19 +341,6 @@ type TableIRow struct {
 	MILPStatus   string
 }
 
-// perCellWorkers maps the fan-out worker count to the per-cell solver
-// worker count. The pool is already saturated by the cells, so each cell
-// solves with one worker — but the MILP engine selection (epoch engine for
-// Workers >= 1, sequential depth-first for 0) must not depend on HOW MANY
-// workers drive the fan-out, or the same table would change between
-// -workers 1 and -workers 4.
-func perCellWorkers(fanout int) int {
-	if fanout >= 1 {
-		return 1
-	}
-	return 0
-}
-
 // TableI reproduces Table I: for each objective and alpha, the solver
 // running time and the number of DMA transfers at s0. The cells (objective
 // × alpha) fan out across base.Workers goroutines into a pre-indexed row
@@ -374,7 +361,7 @@ func TableI(a *let.Analysis, alphas []float64, base Config) ([]TableIRow, error)
 		cfg := base
 		cfg.Alpha = cells[i].alpha
 		cfg.Objective = cells[i].obj
-		cfg.Workers = perCellWorkers(base.Workers)
+		cfg.Workers = 1 // the cells already saturate the pool
 		solved, err := SolveProposed(a, cfg)
 		if err != nil {
 			return err

@@ -161,13 +161,11 @@ func TestRepeatSolveDeterministic(t *testing.T) {
 	})
 }
 
-// TestSolveWorkersInvariant solves the same instances with the
-// epoch-synchronized engine at 1 and 4 workers and requires the entire
-// result — incumbent objective, search statistics, decoded layout and
-// schedule — to be identical: -workers may only change wall-clock time.
-// Searches are warm-started from combopt and node-bounded so the test
-// stays fast; the node limit itself must trip identically per worker
-// count, which exercises the ordered-merge accounting too.
+// TestSolveWorkersInvariant solves the same instances at Workers 0 and 4
+// and requires the entire result — incumbent objective, search
+// statistics, decoded layout and schedule — to be identical: without
+// FastSearch, -workers may only change wall-clock time. Searches are
+// warm-started from combopt and node-bounded so the test stays fast.
 func TestSolveWorkersInvariant(t *testing.T) {
 	cm := dma.DefaultCostModel()
 	cases := []struct {
@@ -202,9 +200,9 @@ func TestSolveWorkersInvariant(t *testing.T) {
 				res.Runtime = 0 // the only field allowed to vary
 				return res
 			}
-			r1, r4 := solveWith(1), solveWith(4)
-			if !reflect.DeepEqual(r1, r4) {
-				t.Errorf("workers=4 result differs from workers=1:\n%+v\nvs\n%+v", r1, r4)
+			r0, r4 := solveWith(0), solveWith(4)
+			if !reflect.DeepEqual(r0, r4) {
+				t.Errorf("workers=4 result differs from workers=0:\n%+v\nvs\n%+v", r0, r4)
 			}
 		})
 	}

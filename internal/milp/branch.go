@@ -58,10 +58,13 @@ const (
 	// StopInterrupt: Params.Interrupt was closed (anytime stop).
 	StopInterrupt
 	// StopNumerical: the LP kernel lost its numerical footing on an open
-	// node (lpNumerical) and the search declined to decide the instance.
-	// Transient in the sense that a re-solve — possibly on the other
-	// engine or with different budgets — may well decide it; the letdmad
-	// retry policy treats exactly this cause as retryable.
+	// node (lpNumerical) and the search stopped there. Transient in the
+	// sense that a re-solve — possibly on the other engine or with
+	// different budgets — may well decide it; the letdmad retry policy
+	// treats exactly this cause as retryable. FastSearch keeps the node
+	// open, so its reported bound still accounts for it; the depth-first
+	// engine drops it, so its bound, gap and status can overstate what was
+	// proved (see the undecided-LP case in Solve).
 	StopNumerical
 	// StopLimit: a resource budget expired (TimeLimit, MaxNodes, or the
 	// kernel's per-LP iteration budget).
@@ -108,25 +111,19 @@ type Params struct {
 	GapTol float64
 	// IntTol is the integrality tolerance (default 1e-6).
 	IntTol float64
-	// Workers selects the search engine. 0 (the default) runs the
-	// sequential depth-first search. n >= 1 runs the epoch-synchronized
-	// search with n concurrent LP workers; its whole trajectory —
-	// incumbent, bound, decoded solution, node and simplex-iteration
-	// counts — is identical for every n, because nodes are dispatched in
-	// best-bound order in fixed-size epochs and merged in dispatch order
-	// (see parallel.go). Both engines solve nodes warm from the parent
-	// basis and replay bit-identically run to run.
+	// Workers is the FastSearch worker count (minimum 1); the
+	// deterministic depth-first engine ignores it.
 	Workers int
-	// FastSearch selects the work-stealing engine (fast.go) instead:
-	// per-worker deques with best-bound-biased stealing, a lock-free
-	// incumbent published by monotonic compare-and-swap, and no epoch
-	// barrier. Workers sets the worker count (minimum 1). The returned
-	// optimum and status are exact, but the trajectory — node order, Nodes,
-	// SimplexIters, Kernel counters, and WHICH of several tied optimal
-	// solutions is returned — depends on goroutine scheduling and is NOT
-	// reproducible across runs or worker counts. Deterministic engines
-	// replay; FastSearch certifies: callers that need an audited result
-	// gate it through verify.CheckOptimal.
+	// FastSearch selects the work-stealing engine (fast.go) instead of the
+	// deterministic depth-first search: per-worker deques with
+	// best-bound-biased stealing and a lock-free incumbent published by
+	// monotonic compare-and-swap. The returned optimum and status are
+	// exact, but the trajectory — node order, Nodes, SimplexIters, Kernel
+	// counters, and WHICH of several tied optimal solutions is returned —
+	// depends on goroutine scheduling and is NOT reproducible across runs
+	// or worker counts. The depth-first engine replays; FastSearch
+	// certifies: callers that need an audited result gate it through
+	// verify.CheckOptimal.
 	FastSearch bool
 	// WarmStart, if non-nil, is checked for feasibility and installed as
 	// the initial incumbent.
@@ -154,11 +151,12 @@ type Params struct {
 	// Log, if non-nil, receives progress lines.
 	Log io.Writer
 	// Interrupt, when non-nil, requests a cooperative stop: close the
-	// channel and the search halts at the next node boundary (sequential
-	// engine), epoch boundary (parallel engine), or per-worker node
-	// boundary (FastSearch, where every worker loop polls it), returning
-	// the incumbent anytime solution (StatusFeasible plus its gap) exactly
-	// as if the time limit had expired. letdma wires SIGINT to this.
+	// channel and the search halts at the next node boundary (in
+	// FastSearch, every worker polls it at its own), returning the
+	// incumbent anytime solution (StatusFeasible plus its gap) exactly as
+	// if the time limit had expired. It is polled before the budgets, so a
+	// closed channel reports StopInterrupt even when a limit expired in
+	// the same instant. letdma wires SIGINT to this.
 	Interrupt <-chan struct{}
 }
 
@@ -201,14 +199,15 @@ type bbNode struct {
 	lo, hi []float64
 	bound  float64 // parent LP relaxation objective (min sense)
 	depth  int
-	seq    int
 	pbasis *Basis // parent's optimal basis (nil: solve cold)
 }
 
-// searchState is the search context shared by the sequential and the
-// epoch-synchronized engines: the minimization form of the model, the root
-// bounds after presolve, the integer variable set, bound-rounding data and
-// the current incumbent.
+// searchState is the search context shared by the depth-first and the
+// FastSearch engines: the minimization form of the model, the root bounds
+// after presolve, the integer variable set, bound-rounding data and the
+// incumbent. atLimit, fathomed, solveNode and expand are the per-node
+// steps both engines run; what stays per engine is the open-node
+// container, incumbent publication and the handling of an undecided LP.
 type searchState struct {
 	m          *Model
 	minM       *Model // minimization form of m (== m unless Maximize)
@@ -225,10 +224,11 @@ type searchState struct {
 	warm       bool    // warm solves from the parent basis enabled
 	warmBudget int     // dual pivot budget per warm solve
 	stats      KernelStats
-	rootBasis  *Basis
-	// stopCause holds the FIRST recorded StopCause (0 = none). Atomic
-	// because FastSearch workers note causes concurrently; the sequential
-	// and epoch engines pay one uncontended CAS per (rare) stop event.
+	// rootBasis and stopCause are atomic because FastSearch workers write
+	// them concurrently; the depth-first engine pays one uncontended store
+	// per (rare) event. stopCause holds the FIRST recorded StopCause
+	// (0 = none).
+	rootBasis atomic.Pointer[Basis]
 	stopCause atomic.Int32
 }
 
@@ -333,23 +333,97 @@ func (st *searchState) pickBranchVar(x []float64) VarID {
 	return branchVar
 }
 
-// tryIncumbent snaps the integral LP point x, verifies feasibility and
-// installs it as the incumbent if it improves. Reports whether it did.
-func (st *searchState) tryIncumbent(x []float64) bool {
-	cand := append([]float64(nil), x...)
-	for _, id := range st.intVars {
-		cand[id] = math.Round(cand[id])
-	}
-	if err := st.m.CheckFeasible(cand, 1e-5); err != nil {
+// atLimit reports whether the search must stop at this node boundary,
+// having expanded nodes so far, and records the cause. The interrupt is
+// polled first so a closed channel reports StopInterrupt even when a budget
+// expired in the same instant — the anytime contract the letdmad deadline
+// and the SIGINT/SIGTERM paths rely on.
+func (st *searchState) atLimit(nodes int) bool {
+	switch {
+	case stopRequested(st.p.Interrupt):
+		st.noteStop(StopInterrupt)
+	case st.p.MaxNodes > 0 && nodes >= st.p.MaxNodes,
+		!st.deadline.IsZero() && time.Now().After(st.deadline):
+		st.noteStop(StopLimit)
+	default:
 		return false
 	}
-	obj := st.minObj(cand)
-	if obj >= st.incObj-1e-12 {
-		return false
-	}
-	st.incObj = obj
-	st.incumbent = cand
 	return true
+}
+
+// fathomed reports whether the node's inherited bound already rules it out
+// against cutoff (the incumbent's minimization objective). The root's -Inf
+// bound never prunes.
+func fathomed(node *bbNode, cutoff float64) bool {
+	return node.bound > cutoff-1e-9 && !math.IsInf(node.bound, -1)
+}
+
+// expansion is what an LP-optimal node yields: nothing (fathomed, or an
+// integral point that fails the feasibility check), a feasible integral
+// candidate, or two children.
+type expansion struct {
+	bound   float64   // rounded relaxation bound (minimization sense)
+	cand    []float64 // snapped feasible integral point, when non-nil
+	candObj float64   // minimization objective of cand
+	// later and first are the children; first holds the LP value's nearer
+	// integer and is explored first (pushed last on a LIFO queue).
+	later, first *bbNode
+}
+
+// expand runs the engine-independent steps after an LP-optimal node solve:
+// root-basis capture, bound rounding against cutoff, the branching-variable
+// choice, and either the snap-and-check of an integral point or the
+// construction of the two children, which inherit the rounded bound and
+// this node's basis.
+func (st *searchState) expand(node *bbNode, res lpSolution, cutoff float64) expansion {
+	if node.depth == 0 {
+		st.rootBasis.Store(res.basis)
+	}
+	var ex expansion
+	ex.bound = res.obj
+	if ex.bound > cutoff-1e-9 {
+		return ex // cannot improve
+	}
+	// Round the bound up to the next representable objective value when
+	// all objective coefficients over integer variables are integral
+	// multiples of a step.
+	if st.intObjGCD > 0 {
+		ex.bound = roundBoundUp(ex.bound, st.intObjGCD, st.objOffset)
+		if ex.bound > cutoff-1e-9 {
+			return ex
+		}
+	}
+	v := st.pickBranchVar(res.x)
+	if v == -1 {
+		// Integral: snap the integer variables and verify the point
+		// against the original model.
+		cand := append([]float64(nil), res.x...)
+		for _, id := range st.intVars {
+			cand[id] = math.Round(cand[id])
+		}
+		if st.m.CheckFeasible(cand, 1e-5) == nil {
+			ex.cand, ex.candObj = cand, st.minObj(cand)
+		}
+		return ex
+	}
+	xf := res.x[v]
+	child := func(isUp bool) *bbNode {
+		nl := append([]float64(nil), node.lo...)
+		nh := append([]float64(nil), node.hi...)
+		if isUp {
+			nl[v] = math.Ceil(xf)
+		} else {
+			nh[v] = math.Floor(xf)
+		}
+		return &bbNode{lo: nl, hi: nh, bound: ex.bound, depth: node.depth + 1, pbasis: res.basis}
+	}
+	down, up := child(false), child(true)
+	if xf-math.Floor(xf) <= 0.5 {
+		ex.later, ex.first = up, down
+	} else {
+		ex.later, ex.first = down, up
+	}
+	return ex
 }
 
 // finish assembles the Solution from the terminal search state. openBound
@@ -362,7 +436,7 @@ func (st *searchState) finish(openBound float64, nodes, iters int, hitLimit bool
 	}
 	sol := &Solution{
 		Nodes: nodes, SimplexIters: iters, Runtime: time.Since(st.start),
-		Kernel: st.stats, RootBasis: st.rootBasis,
+		Kernel: st.stats, RootBasis: st.rootBasis.Load(),
 	}
 	if hitLimit {
 		sol.StopCause = StopCause(st.stopCause.Load())
@@ -402,13 +476,11 @@ func (st *searchState) finish(openBound float64, nodes, iters int, hitLimit bool
 	return sol
 }
 
-// Solve minimizes or maximizes the model by LP-based branch and bound.
+// Solve minimizes or maximizes the model by LP-based branch and bound:
+// FastSearch (Params.FastSearch) or the deterministic depth-first search.
 func Solve(m *Model, p Params) (*Solution, error) {
 	if p.FastSearch {
 		return solveFast(m, p)
-	}
-	if p.Workers >= 1 {
-		return solveEpochs(m, p)
 	}
 	start := time.Now()
 	st, early, err := prepSearch(m, p, start)
@@ -418,12 +490,11 @@ func Solve(m *Model, p Params) (*Solution, error) {
 
 	nodes := 0
 	simplexIters := 0
-	seq := 0
-	stack := []*bbNode{{lo: st.lo0, hi: st.hi0, bound: math.Inf(-1), depth: 0, seq: seq, pbasis: p.WarmBasis}}
+	stack := []*bbNode{{lo: st.lo0, hi: st.hi0, bound: math.Inf(-1), depth: 0, pbasis: p.WarmBasis}}
 	hitLimit := false
 
 	openBound := func() float64 {
-		// Minimum bound among open nodes (and the node being expanded).
+		// Minimum bound among open nodes.
 		b := math.Inf(1)
 		for _, n := range stack {
 			if n.bound < b {
@@ -434,18 +505,7 @@ func Solve(m *Model, p Params) (*Solution, error) {
 	}
 
 	for len(stack) > 0 {
-		if p.MaxNodes > 0 && nodes >= p.MaxNodes {
-			st.noteStop(StopLimit)
-			hitLimit = true
-			break
-		}
-		if !st.deadline.IsZero() && time.Now().After(st.deadline) {
-			st.noteStop(StopLimit)
-			hitLimit = true
-			break
-		}
-		if stopRequested(p.Interrupt) {
-			st.noteStop(StopInterrupt)
+		if st.atLimit(nodes) {
 			hitLimit = true
 			break
 		}
@@ -457,7 +517,7 @@ func Solve(m *Model, p Params) (*Solution, error) {
 		nodes++
 
 		// Bound-based pruning (works for warm starts too).
-		if node.bound > st.incObj-1e-9 && !math.IsInf(node.bound, -1) {
+		if fathomed(node, st.incObj) {
 			continue
 		}
 
@@ -467,10 +527,13 @@ func Solve(m *Model, p Params) (*Solution, error) {
 		simplexIters += res.iters
 		switch res.status {
 		case lpTimeLimit, lpIterLimit, lpNumerical:
-			// lpNumerical: the kernel lost its numerical footing on this
-			// node; treating the relaxation as decided either way would be
-			// unsound, so the node stays open and the search reports an
-			// early stop, exactly like a limit.
+			// The relaxation is undecided, and the search stops early
+			// exactly as at a limit. The node was already popped and is not
+			// pushed back, so openBound leaves it out and the reported bound
+			// ignores it. With a warm-start incumbent and no other open
+			// node, the solve therefore reports gap 0 and StatusOptimal
+			// with StopNumerical, although nothing was proved. FastSearch
+			// re-queues the node and reports StatusFeasible instead.
 			st.noteStop(stopCauseOfLP(res.status))
 			hitLimit = true
 		case lpCutoff, lpInfeasible:
@@ -489,66 +552,21 @@ func Solve(m *Model, p Params) (*Solution, error) {
 		if hitLimit {
 			break
 		}
-		if node.depth == 0 {
-			st.rootBasis = res.basis
-		}
-		lpObj := res.obj
-		if lpObj > st.incObj-1e-9 {
-			continue // cannot improve
-		}
-		// Round the bound up to the next representable objective value
-		// when all objective coefficients over integer variables are
-		// integral multiples of a step.
-		if st.intObjGCD > 0 {
-			lpObj = roundBoundUp(lpObj, st.intObjGCD, st.objOffset)
-			if lpObj > st.incObj-1e-9 {
-				continue
-			}
-		}
 
-		branchVar := st.pickBranchVar(res.x)
-		if branchVar == -1 {
-			// Integral: candidate incumbent. Snap and verify.
-			if st.tryIncumbent(res.x) {
-				logf(p.Log, "node %d: new incumbent obj=%.6g\n", nodes, st.objSign*st.incObj)
-				if p.GapTol > 0 {
-					ob := math.Min(openBound(), lpObj)
-					if relGap(st.incObj, ob) <= p.GapTol {
-						st.noteStop(StopGap)
-						hitLimit = true
-					}
-				}
+		ex := st.expand(node, res, st.incObj)
+		switch {
+		case ex.first != nil:
+			stack = append(stack, ex.later, ex.first)
+		case ex.cand != nil && ex.candObj < st.incObj-1e-12:
+			st.incumbent, st.incObj = ex.cand, ex.candObj
+			logf(p.Log, "node %d: new incumbent obj=%.6g\n", nodes, st.objSign*st.incObj)
+			if p.GapTol > 0 && relGap(st.incObj, math.Min(openBound(), ex.bound)) <= p.GapTol {
+				st.noteStop(StopGap)
+				hitLimit = true
 			}
-			if hitLimit {
-				break
-			}
-			continue
 		}
-
-		// Branch.
-		xf := res.x[branchVar]
-		downHi := math.Floor(xf)
-		upLo := math.Ceil(xf)
-
-		mk := func(newLo, newHi float64, isUp bool) *bbNode {
-			nl := append([]float64(nil), node.lo...)
-			nh := append([]float64(nil), node.hi...)
-			if isUp {
-				nl[branchVar] = newLo
-			} else {
-				nh[branchVar] = newHi
-			}
-			seq++
-			return &bbNode{lo: nl, hi: nh, bound: lpObj, depth: node.depth + 1, seq: seq, pbasis: res.basis}
-		}
-		down := mk(0, downHi, false)
-		up := mk(upLo, 0, true)
-		// Explore the child containing the LP value's nearer integer first
-		// (pushed last).
-		if xf-downHi <= 0.5 {
-			stack = append(stack, up, down)
-		} else {
-			stack = append(stack, down, up)
+		if hitLimit {
+			break
 		}
 	}
 
@@ -572,8 +590,8 @@ func (st *searchState) coldSolve(lo, hi []float64) lpSolution {
 }
 
 // nodeResult is one node's relaxation outcome plus the kernel counters it
-// generated, returned separately so the engines can merge counters in
-// dispatch order (keeping them Workers-invariant).
+// generated, returned separately so that concurrent FastSearch workers can
+// accumulate counters in their own slots.
 type nodeResult struct {
 	lpSolution
 	stats KernelStats
@@ -584,9 +602,8 @@ type nodeResult struct {
 // parent basis it runs the warm solve (warmSolveLP), which fathoms the node
 // (lpCutoff or lpInfeasible), returns its true-cost LP optimum, or defers to
 // the cold path. The result is a pure function of (model, node bounds,
-// parent basis, incObj), so every engine may call it concurrently: the
-// sequential and epoch engines pass an incumbent they only write between
-// nodes or batches, FastSearch its published cutoff.
+// parent basis, incObj), so FastSearch workers may call it concurrently
+// with their published cutoff; the depth-first engine passes its incumbent.
 func (st *searchState) solveNode(node *bbNode, incObj float64) nodeResult {
 	var nr nodeResult
 	warmIters := 0

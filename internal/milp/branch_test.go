@@ -253,6 +253,43 @@ func enumerate(m *Model) (best float64, found bool) {
 	return sign * best, found
 }
 
+// randomModel builds a small random all-integer program: 2..5 variables
+// with domains up to [0,3], 1..4 mixed-sense constraints, and a random
+// objective sense.
+func randomModel(rng *rand.Rand) *Model {
+	m := NewModel()
+	nv := 2 + rng.Intn(4)
+	for i := 0; i < nv; i++ {
+		m.AddInteger("x", 0, float64(1+rng.Intn(3)))
+	}
+	nc := 1 + rng.Intn(4)
+	for c := 0; c < nc; c++ {
+		e := NewExpr(0)
+		for i := 0; i < nv; i++ {
+			e = e.Add(VarID(i), float64(rng.Intn(7)-3))
+		}
+		rhs := float64(rng.Intn(13) - 4)
+		switch rng.Intn(3) {
+		case 0:
+			m.AddLE("c", e, rhs)
+		case 1:
+			m.AddGE("c", e, rhs)
+		default:
+			m.AddEQ("c", e, rhs)
+		}
+	}
+	obj := NewExpr(0)
+	for i := 0; i < nv; i++ {
+		obj = obj.Add(VarID(i), float64(rng.Intn(11)-5))
+	}
+	sense := Minimize
+	if rng.Intn(2) == 1 {
+		sense = Maximize
+	}
+	m.SetObjective(sense, obj)
+	return m
+}
+
 // TestRandomMILPvsEnumeration is the core correctness property of the whole
 // solver stack: on random small all-integer programs, branch and bound must
 // agree exactly with exhaustive enumeration.
@@ -263,36 +300,7 @@ func TestRandomMILPvsEnumeration(t *testing.T) {
 		trials = 40
 	}
 	for trial := 0; trial < trials; trial++ {
-		m := NewModel()
-		nv := 2 + rng.Intn(4) // 2..5 vars
-		for i := 0; i < nv; i++ {
-			m.AddInteger("x", 0, float64(1+rng.Intn(3))) // domains up to [0,3]
-		}
-		nc := 1 + rng.Intn(4)
-		for c := 0; c < nc; c++ {
-			e := NewExpr(0)
-			for i := 0; i < nv; i++ {
-				e = e.Add(VarID(i), float64(rng.Intn(7)-3))
-			}
-			rhs := float64(rng.Intn(13) - 4)
-			switch rng.Intn(3) {
-			case 0:
-				m.AddLE("c", e, rhs)
-			case 1:
-				m.AddGE("c", e, rhs)
-			default:
-				m.AddEQ("c", e, rhs)
-			}
-		}
-		obj := NewExpr(0)
-		for i := 0; i < nv; i++ {
-			obj = obj.Add(VarID(i), float64(rng.Intn(11)-5))
-		}
-		sense := Minimize
-		if rng.Intn(2) == 1 {
-			sense = Maximize
-		}
-		m.SetObjective(sense, obj)
+		m := randomModel(rng)
 
 		want, feasible := enumerate(m)
 		sol, err := Solve(m, Params{TimeLimit: 10 * time.Second})
@@ -497,5 +505,126 @@ func TestLargeRandomLPStability(t *testing.T) {
 		if err := m.CheckFeasible(sol.X, 1e-5); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestWarmStartAndLimits exercises the depth-first engine's warm-start
+// pruning, MaxNodes, unbounded and infeasible paths.
+func TestWarmStartAndLimits(t *testing.T) {
+	t.Run("warm start pruning", func(t *testing.T) {
+		m := NewModel()
+		x := m.AddInteger("x", 0, 100)
+		m.AddLE("c", NewExpr(0).Add(x, 2), 7)
+		m.SetObjective(Maximize, Sum(1, x))
+		sol := mustSolve(t, m, Params{WarmStart: []float64{3}})
+		if sol.Status != StatusOptimal || math.Abs(sol.Obj-3) > 1e-6 {
+			t.Fatalf("status=%v obj=%g, want optimal 3", sol.Status, sol.Obj)
+		}
+	})
+	t.Run("max nodes", func(t *testing.T) {
+		m := NewModel()
+		n := 14
+		e := NewExpr(0)
+		for i := 0; i < n; i++ {
+			v := m.AddBinary("b")
+			e = e.Add(v, float64(3+i%5))
+		}
+		m.AddLE("cap", e, 17.5)
+		m.SetObjective(Maximize, e)
+		sol := mustSolve(t, m, Params{MaxNodes: 2})
+		if sol.Nodes != 2 || sol.StopCause != StopLimit {
+			t.Fatalf("nodes = %d, stop cause %v; want the limit to stop the search at 2", sol.Nodes, sol.StopCause)
+		}
+	})
+	t.Run("unbounded", func(t *testing.T) {
+		m := NewModel()
+		x := m.AddContinuous("x", 0, Inf)
+		m.SetObjective(Maximize, Sum(1, x))
+		sol := mustSolve(t, m, Params{})
+		if sol.Status != StatusUnbounded {
+			t.Fatalf("status = %v, want unbounded", sol.Status)
+		}
+	})
+	t.Run("infeasible", func(t *testing.T) {
+		m := NewModel()
+		x := m.AddInteger("x", 0, 10)
+		m.AddGE("lo", NewExpr(0).Add(x, 2), 5)
+		m.AddLE("hi", NewExpr(0).Add(x, 2), 4)
+		sol := mustSolve(t, m, Params{})
+		if sol.Status != StatusInfeasible {
+			t.Fatalf("status = %v, want infeasible", sol.Status)
+		}
+	})
+}
+
+// TestRelGap pins the relative-gap convention on the minimization form:
+// |inc - bound| / (1e-10 + |inc|), 0 once the bound meets the incumbent,
+// +Inf with no incumbent or no bound. The previous max(1, |inc|)
+// denominator understated the gap for every objective with |inc| < 1 —
+// which includes all OBJ-DEL delay-ratio objectives — and for negative
+// incumbents near zero.
+func TestRelGap(t *testing.T) {
+	cases := []struct {
+		name       string
+		inc, bound float64
+		want       float64
+	}{
+		{"large incumbent", 10, 8, 0.2},
+		{"sub-unit incumbent", 0.5, 0.25, 0.5},
+		{"delay-ratio scale", 0.04, 0.02, 0.5},
+		{"negative incumbent", -5, -5.5, 0.1},
+		{"negative near zero", -0.01, -0.02, 1.0},
+		{"zero incumbent", 0, -1, 1e10},
+		{"bound met", 5, 5, 0},
+		{"bound crossed numerically", 5, 5.0000001, 0},
+		{"no incumbent", math.Inf(1), 3, math.Inf(1)},
+		{"no bound", 3, math.Inf(-1), math.Inf(1)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got := relGap(tc.inc, tc.bound)
+			if math.IsInf(tc.want, 1) {
+				if !math.IsInf(got, 1) {
+					t.Fatalf("relGap(%g, %g) = %g, want +Inf", tc.inc, tc.bound, got)
+				}
+				return
+			}
+			// Normalize the tolerance for very large expected gaps (the
+			// zero-incumbent case evaluates to diff/1e-10).
+			scale := 1.0
+			if tc.want > 1 {
+				scale = tc.want
+			}
+			if math.Abs(got-tc.want)/scale > 1e-6 {
+				t.Fatalf("relGap(%g, %g) = %g, want %g", tc.inc, tc.bound, got, tc.want)
+			}
+		})
+	}
+}
+
+// TestGapReportedOnTrueScale is the end-to-end regression for the old
+// max(1, |inc|) denominator: a sub-unit-objective model stopped at the
+// node limit must NOT be declared optimal when its true relative gap
+// exceeds GapTol, even though the absolute gap is small.
+func TestGapReportedOnTrueScale(t *testing.T) {
+	m := NewModel()
+	x := m.AddInteger("x", 0, 3)
+	y := m.AddInteger("y", 0, 3)
+	m.AddGE("c", NewExpr(0).Add(x, 2).Add(y, 2), 3)
+	m.SetObjective(Minimize, NewExpr(0).Add(x, 0.3).Add(y, 0.31))
+	// Warm start (3, 0): objective 0.9. Root LP gives x=1.5 (objective
+	// 0.45), so after one node the bound is 0.45: true relative gap 0.5,
+	// absolute gap 0.45.
+	sol := mustSolve(t, m, Params{
+		WarmStart: []float64{3, 0},
+		MaxNodes:  1,
+		GapTol:    0.47,
+	})
+	if sol.Status != StatusFeasible {
+		t.Fatalf("status = %v, want feasible (gap %g must exceed GapTol on the |inc| scale)",
+			sol.Status, sol.Gap)
+	}
+	if math.Abs(sol.Gap-0.5) > 1e-6 {
+		t.Fatalf("gap = %g, want 0.5 (= 0.45/0.9)", sol.Gap)
 	}
 }

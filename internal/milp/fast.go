@@ -9,7 +9,7 @@ import (
 )
 
 // This file implements the FastSearch engine (Params.FastSearch): a
-// work-stealing branch and bound that trades the deterministic engines'
+// work-stealing branch and bound that trades the depth-first engine's
 // replay-identity for throughput.
 //
 //   - Every worker owns a deque: it pushes and pops children at the tail
@@ -23,18 +23,20 @@ import (
 //     better than the currently published one, so the incumbent objective
 //     only ever decreases (in minimization sense) no matter how races
 //     resolve, and readers always see a fully formed (obj, x) pair.
-//   - Nodes are solved by the same searchState.solveNode as in the
-//     deterministic engines: warm from the parent basis, against the
-//     currently published cutoff.
-//   - There is no epoch barrier: workers proceed independently and
-//     termination is detected by an atomic count of unfinished nodes.
+//   - Each node runs the same searchState steps as in the depth-first
+//     engine (atLimit, fathomed, solveNode, expand), against the currently
+//     published cutoff. With one worker the search visits the same nodes
+//     in the same order as the depth-first engine.
+//   - Workers proceed independently; termination is detected by an atomic
+//     count of unfinished nodes.
 //
 // The returned status and optimal objective are exact — every pruning step
-// is justified by the same bound arithmetic as the deterministic engines,
-// and incumbents pass the same CheckFeasible gate — but the trajectory
-// (node order, counters, and which of several tied optima is returned)
-// depends on goroutine scheduling. Deterministic engines replay; FastSearch
-// certifies: audited runs go through verify.CheckOptimal.
+// is justified by the same bound arithmetic as the depth-first engine, and
+// incumbents pass the same CheckFeasible gate — but with several workers
+// the trajectory (node order, counters, and which of several tied optima is
+// returned) depends on goroutine scheduling. The depth-first engine
+// replays; FastSearch certifies: audited runs go through
+// verify.CheckOptimal.
 
 // fastIncumbent is one published incumbent: immutable after publication, so
 // a Load is always a consistent (obj, x) pair.
@@ -145,9 +147,8 @@ type fastEngine struct {
 	// curBound[w] holds math.Float64bits of the bound of the node worker w
 	// is currently processing (+Inf when idle), so the global bound snapshot
 	// can account for in-flight work.
-	curBound  []atomic.Uint64
-	rootBasis atomic.Pointer[Basis]
-	logMu     sync.Mutex
+	curBound []atomic.Uint64
+	logMu    sync.Mutex
 }
 
 // cutoff returns the published incumbent objective, +Inf when none.
@@ -158,30 +159,19 @@ func (e *fastEngine) cutoff() float64 {
 	return math.Inf(1)
 }
 
-// tryPublish snaps the integral LP point x, verifies feasibility against the
-// original model, and installs it as the incumbent iff it is strictly better
-// than the published one at the moment of the swap. The CAS loop makes the
-// publication monotonic: a concurrent better publication simply wins and
-// this candidate is dropped. Returns the candidate's objective and whether
-// it was installed.
-func (e *fastEngine) tryPublish(x []float64) (float64, bool) {
-	st := e.st
-	cand := append([]float64(nil), x...)
-	for _, id := range st.intVars {
-		cand[id] = math.Round(cand[id])
-	}
-	if err := st.m.CheckFeasible(cand, 1e-5); err != nil {
-		return 0, false
-	}
-	obj := st.minObj(cand)
-	pub := &fastIncumbent{obj: obj, x: cand}
+// tryPublish installs the snapped, feasible candidate (obj, x) as the
+// incumbent iff it is strictly better than the published one at the moment
+// of the swap. The CAS loop makes the publication monotonic: a concurrent
+// better publication simply wins and this candidate is dropped.
+func (e *fastEngine) tryPublish(obj float64, x []float64) bool {
+	pub := &fastIncumbent{obj: obj, x: x}
 	for {
 		cur := e.inc.Load()
 		if cur != nil && obj >= cur.obj-1e-12 {
-			return obj, false
+			return false
 		}
 		if e.inc.CompareAndSwap(cur, pub) {
-			return obj, true
+			return true
 		}
 	}
 }
@@ -273,119 +263,67 @@ func (e *fastEngine) run(id int, ws *fastWorker) {
 	}
 }
 
-// process expands one node, mirroring the sequential engine's per-node
-// logic: limits, incumbent prune, relaxation solve (warm when a parent basis
-// exists), fathom/branch/publish. The node's inflight slot is released only
+// process expands one node with the shared searchState steps. A node cut
+// short by a limit or an undecided LP goes back on the queue so the final
+// bound still accounts for it. The node's inflight slot is released only
 // after any children are registered, so inflight can never transiently hit
 // zero while work remains.
 func (e *fastEngine) process(id int, node *bbNode, ws *fastWorker) {
 	st := e.st
 	p := st.p
-
-	// Limits are checked at the node boundary, like the sequential engine's
-	// loop head. A limited node goes back on the queue so the final bound
-	// still accounts for it. The interrupt is polled first so a closed
-	// channel is reported as StopInterrupt even when a budget expired in
-	// the same instant — the anytime contract the letdmad deadline and the
-	// SIGINT/SIGTERM paths rely on.
-	if stopRequested(p.Interrupt) {
-		st.noteStop(StopInterrupt)
-		e.requestStop(true)
-		e.deques[id].push(node)
-		return
-	}
-	if (p.MaxNodes > 0 && e.nodes.Load() >= int64(p.MaxNodes)) ||
-		(!st.deadline.IsZero() && time.Now().After(st.deadline)) {
-		st.noteStop(StopLimit)
+	if st.atLimit(int(e.nodes.Load())) {
 		e.requestStop(true)
 		e.deques[id].push(node)
 		return
 	}
 	e.nodes.Add(1)
+	defer e.inflight.Add(-1)
 
-	if node.bound > e.cutoff()-1e-9 && !math.IsInf(node.bound, -1) {
-		e.inflight.Add(-1)
+	if fathomed(node, e.cutoff()) {
 		return
 	}
-
 	nr := st.solveNode(node, e.cutoff())
 	ws.stats.add(nr.stats)
 	res := nr.lpSolution
 	ws.iters += res.iters
 	switch res.status {
 	case lpTimeLimit, lpIterLimit, lpNumerical:
-		// The relaxation is undecided (see the sequential engine); the node
-		// stays open and the solve reports an early stop.
+		// The relaxation is undecided: the node stays open (re-queued,
+		// keeping its inflight slot) and the solve reports an early stop.
 		st.noteStop(stopCauseOfLP(res.status))
 		e.requestStop(true)
+		e.inflight.Add(1)
 		e.deques[id].push(node)
 		return
 	case lpCutoff, lpInfeasible:
-		e.inflight.Add(-1)
 		return
 	case lpUnbounded:
 		if len(st.intVars) == 0 || node.depth == 0 {
 			e.unbounded.Store(true)
 			e.requestStop(false)
 		}
-		e.inflight.Add(-1)
-		return
-	}
-	if node.depth == 0 {
-		e.rootBasis.Store(res.basis)
-	}
-
-	lpObj := res.obj
-	if st.intObjGCD > 0 {
-		lpObj = roundBoundUp(lpObj, st.intObjGCD, st.objOffset)
-	}
-	if lpObj > e.cutoff()-1e-9 {
-		e.inflight.Add(-1)
 		return
 	}
 
-	branchVar := st.pickBranchVar(res.x)
-	if branchVar == -1 {
-		if obj, installed := e.tryPublish(res.x); installed {
-			if p.Log != nil {
-				e.logMu.Lock()
-				logf(p.Log, "fast: new incumbent obj=%.6g\n", st.objSign*obj)
-				e.logMu.Unlock()
-			}
-			if p.GapTol > 0 {
-				if ob := math.Min(e.snapshotBound(), lpObj); relGap(obj, ob) <= p.GapTol {
-					st.noteStop(StopGap)
-					e.requestStop(true)
-				}
-			}
+	ex := st.expand(node, res, e.cutoff())
+	switch {
+	case ex.first != nil:
+		// Registered in inflight BEFORE the parent is released; the
+		// preferred child is pushed last, so the owner pops it first.
+		e.inflight.Add(2)
+		e.deques[id].push(ex.later)
+		e.deques[id].push(ex.first)
+	case ex.cand != nil && e.tryPublish(ex.candObj, ex.cand):
+		if p.Log != nil {
+			e.logMu.Lock()
+			logf(p.Log, "fast: new incumbent obj=%.6g\n", st.objSign*ex.candObj)
+			e.logMu.Unlock()
 		}
-		e.inflight.Add(-1)
-		return
-	}
-
-	// Branch: children inherit the rounded bound and this node's basis.
-	// Registered in inflight BEFORE the parent is released.
-	xf := res.x[branchVar]
-	mk := func(isUp bool) *bbNode {
-		nl := append([]float64(nil), node.lo...)
-		nh := append([]float64(nil), node.hi...)
-		if isUp {
-			nl[branchVar] = math.Ceil(xf)
-		} else {
-			nh[branchVar] = math.Floor(xf)
+		if p.GapTol > 0 && relGap(ex.candObj, math.Min(e.snapshotBound(), ex.bound)) <= p.GapTol {
+			st.noteStop(StopGap)
+			e.requestStop(true)
 		}
-		return &bbNode{lo: nl, hi: nh, bound: lpObj, depth: node.depth + 1, pbasis: res.basis}
 	}
-	e.inflight.Add(2)
-	// Preferred child (nearer integer) pushed last: the owner pops it first.
-	if xf-math.Floor(xf) <= 0.5 {
-		e.deques[id].push(mk(true))
-		e.deques[id].push(mk(false))
-	} else {
-		e.deques[id].push(mk(false))
-		e.deques[id].push(mk(true))
-	}
-	e.inflight.Add(-1)
 }
 
 // solveFast is the FastSearch entry point (Params.FastSearch).
@@ -432,7 +370,6 @@ func solveFast(m *Model, p Params) (*Solution, error) {
 		st.stats.add(locals[i].stats)
 		iters += locals[i].iters
 	}
-	st.rootBasis = e.rootBasis.Load()
 	if e.unbounded.Load() {
 		return &Solution{
 			Status: StatusUnbounded, Nodes: nodes, SimplexIters: iters,

@@ -31,16 +31,16 @@ func interruptModel() (*Model, []float64) {
 }
 
 // TestInterruptReturnsIncumbent: a pre-closed Interrupt channel stops
-// every engine at its first boundary check — the sequential and epoch
-// engines at the dispatcher loop head, FastSearch inside each worker's
-// per-node loop — and with a warm start the anytime incumbent comes back
+// both engines at their first node boundary — the depth-first loop head,
+// and inside each FastSearch worker's per-node loop — and with a warm
+// start the anytime incumbent comes back
 // as StatusFeasible (or StatusOptimal if the root already proved it)
 // instead of an error or no output.
 func TestInterruptReturnsIncumbent(t *testing.T) {
 	for _, tc := range []struct {
 		workers int
 		fast    bool
-	}{{0, false}, {2, false}, {1, true}, {4, true}} {
+	}{{0, false}, {1, true}, {4, true}} {
 		m, ws := interruptModel()
 		stop := make(chan struct{})
 		close(stop)
@@ -63,15 +63,29 @@ func TestInterruptReturnsIncumbent(t *testing.T) {
 	}
 }
 
-// TestStopCauseTaxonomy: every engine labels WHY it stopped early — the
+// TestStopCauseTaxonomy: both engines label WHY they stopped early — the
 // letdmad retry/deadline policy keys off this, so the mapping is pinned:
-// a closed Interrupt reports StopInterrupt, an expired TimeLimit reports
-// StopLimit, and a run to proven optimality reports StopNone.
+// a closed Interrupt reports StopInterrupt, even when a TimeLimit expired
+// in the same instant; an expired TimeLimit alone reports StopLimit; and a
+// run to proven optimality reports StopNone.
 func TestStopCauseTaxonomy(t *testing.T) {
 	for _, tc := range []struct {
 		workers int
 		fast    bool
-	}{{0, false}, {2, false}, {2, true}} {
+	}{{0, false}, {2, true}} {
+		mi, ws := interruptModel()
+		stop := make(chan struct{})
+		close(stop)
+		soli, err := Solve(mi, Params{Workers: tc.workers, FastSearch: tc.fast, WarmStart: ws,
+			Interrupt: stop, TimeLimit: time.Nanosecond})
+		if err != nil {
+			t.Fatalf("workers=%d fast=%v: %v", tc.workers, tc.fast, err)
+		}
+		if soli.StopCause != StopInterrupt {
+			t.Errorf("workers=%d fast=%v: interrupted and time-limited StopCause = %v, want interrupt",
+				tc.workers, tc.fast, soli.StopCause)
+		}
+
 		m, ws := interruptModel()
 		sol, err := Solve(m, Params{Workers: tc.workers, FastSearch: tc.fast, WarmStart: ws, TimeLimit: time.Nanosecond})
 		if err != nil {

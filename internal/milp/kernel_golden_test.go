@@ -51,7 +51,7 @@ func loadKernelGolden(t *testing.T) []kernelGoldenRow {
 
 // TestKernelGolden is the dense-vs-sparse differential gate plus the
 // trajectory pin of the simplex kernel, run over the shared milptest corpus
-// with the sequential engine (Workers invariance is pinned separately).
+// with the depth-first engine.
 func TestKernelGolden(t *testing.T) {
 	corpus := milptest.Corpus()
 	rows := make([]kernelGoldenRow, 0, len(corpus))
@@ -116,13 +116,15 @@ func TestKernelGolden(t *testing.T) {
 }
 
 // TestFastSearchKernelGolden runs the FastSearch engine over the full
-// 51-row corpus and holds it to the golden STATUS and OBJECTIVE only.
-// Nodes/Iters are deliberately NOT pinned: FastSearch's node order depends
-// on goroutine scheduling (work stealing, racing incumbent publications),
-// so its counters are not a function of the instance and would flake on any
-// pin. The exactness claim it must still honor is the returned optimum —
-// the same contract verify.CheckOptimal certifies end-to-end — which is
-// exactly what the golden Status/Obj columns capture.
+// 51-row corpus and holds it to the golden STATUS and OBJECTIVE. With
+// several workers Nodes/Iters are deliberately NOT pinned: the node order
+// depends on goroutine scheduling (work stealing, racing incumbent
+// publications), so those counters are not a function of the instance. The
+// exactness claim it must still honor is the returned optimum — the same
+// contract verify.CheckOptimal certifies end-to-end — which is exactly what
+// the golden Status/Obj columns capture. A single worker has no one to race
+// and runs the same per-node steps as the depth-first engine, so at
+// workers=1 Nodes/Iters must match the golden too.
 func TestFastSearchKernelGolden(t *testing.T) {
 	want := loadKernelGolden(t)
 	corpus := milptest.Corpus()
@@ -144,6 +146,10 @@ func TestFastSearchKernelGolden(t *testing.T) {
 				if sol.Status.String() != g.Status {
 					t.Errorf("%s: status %s, golden %s", g.Name, sol.Status, g.Status)
 					continue
+				}
+				if workers == 1 && (sol.Nodes != g.Nodes || sol.SimplexIters != g.Iters) {
+					t.Errorf("%s: single-worker trajectory (nodes=%d iters=%d) differs from the depth-first golden (nodes=%d iters=%d)",
+						g.Name, sol.Nodes, sol.SimplexIters, g.Nodes, g.Iters)
 				}
 				if g.Obj == "" {
 					if sol.X != nil {

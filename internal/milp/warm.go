@@ -128,8 +128,8 @@ func (s *simplexState) snapshotBasis() *Basis {
 }
 
 // KernelStats aggregates simplex-kernel counters across a branch-and-bound
-// solve. They are merged in node dispatch order, so — like the rest of the
-// Solution — they are identical for every Params.Workers value.
+// solve. Like the rest of the Solution they replay exactly on the
+// depth-first engine; under FastSearch they depend on scheduling.
 type KernelStats struct {
 	// WarmAttempts counts nodes that entered the dual-simplex warm solve.
 	WarmAttempts int

@@ -25,61 +25,42 @@ func decided(s Status) bool {
 	return s == StatusOptimal || s == StatusInfeasible || s == StatusUnbounded
 }
 
-// warmColdContract checks one model under params p for every deterministic
-// engine (Workers 0, 1 and 4) and returns the warm expansions it saw:
+// warmColdContract checks one model under params p on the depth-first
+// engine and returns the warm expansions it saw:
 //
 //   - the cold path (DisableWarmStart) never touches the warm solver;
 //   - warm and cold agree bit-for-bit on the objective, and on the status,
 //     whenever both decided (a node or time limit may cut the two
 //     trajectories at different incumbents);
-//   - the warm solve replays bit-identically run to run, and the epoch
-//     engine's warm trajectory is the same for 1 and 4 workers.
+//   - the warm solve replays bit-identically run to run.
 func warmColdContract(t *testing.T, label string, m *Model, p Params) int {
 	t.Helper()
-	expands := 0
-	var epoch *Solution
-	for _, workers := range []int{0, 1, 4} {
-		pw := p
-		pw.Workers = workers
-		pc := pw
-		pc.DisableWarmStart = true
-		cold := mustSolve(t, m, pc)
-		warm := mustSolve(t, m, pw)
-		if k := cold.Kernel; k.WarmAttempts != 0 || k.WarmExpands != 0 {
-			t.Fatalf("%s workers %d: DisableWarmStart still solved warm: %+v", label, workers, k)
-		}
-		if k := warm.Kernel; k.WarmHits+k.WarmExpands+k.ColdFallbacks > k.WarmAttempts {
-			t.Fatalf("%s workers %d: inconsistent kernel counters %+v", label, workers, k)
-		}
-		expands += warm.Kernel.WarmExpands
-		if decided(cold.Status) && decided(warm.Status) {
-			if cold.Status != warm.Status || math.Float64bits(cold.Obj) != math.Float64bits(warm.Obj) {
-				t.Fatalf("%s workers %d: warm %v/%v, cold %v/%v",
-					label, workers, warm.Status, warm.Obj, cold.Status, cold.Obj)
-			}
-		}
-		again := mustSolve(t, m, pw)
-		if !reflect.DeepEqual(replayScrub(warm), replayScrub(again)) {
-			t.Fatalf("%s workers %d: warm solve does not replay:\nfirst  %+v\nsecond %+v",
-				label, workers, warm, again)
-		}
-		if workers == 0 {
-			continue
-		}
-		if epoch == nil {
-			epoch = warm
-		} else if !reflect.DeepEqual(replayScrub(epoch), replayScrub(warm)) {
-			t.Fatalf("%s: epoch trajectory depends on the worker count:\n1 worker  %+v\n%d workers %+v",
-				label, epoch, workers, warm)
+	pc := p
+	pc.DisableWarmStart = true
+	cold := mustSolve(t, m, pc)
+	warm := mustSolve(t, m, p)
+	if k := cold.Kernel; k.WarmAttempts != 0 || k.WarmExpands != 0 {
+		t.Fatalf("%s: DisableWarmStart still solved warm: %+v", label, k)
+	}
+	if k := warm.Kernel; k.WarmHits+k.WarmExpands+k.ColdFallbacks > k.WarmAttempts {
+		t.Fatalf("%s: inconsistent kernel counters %+v", label, k)
+	}
+	if decided(cold.Status) && decided(warm.Status) {
+		if cold.Status != warm.Status || math.Float64bits(cold.Obj) != math.Float64bits(warm.Obj) {
+			t.Fatalf("%s: warm %v/%v, cold %v/%v", label, warm.Status, warm.Obj, cold.Status, cold.Obj)
 		}
 	}
-	return expands
+	again := mustSolve(t, m, p)
+	if !reflect.DeepEqual(replayScrub(warm), replayScrub(again)) {
+		t.Fatalf("%s: warm solve does not replay:\nfirst  %+v\nsecond %+v", label, warm, again)
+	}
+	return warm.Kernel.WarmExpands
 }
 
 // TestWarmColdEquivalence is the contract of the warm-expanded search on the
 // random-model corpus: warm and cold solves reach the same status and
-// objective, and the warm trajectory replays bit-identically run to run and
-// across worker counts (see warmColdContract).
+// objective, and the warm trajectory replays bit-identically run to run
+// (see warmColdContract).
 func TestWarmColdEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	trials := 200
@@ -136,15 +117,13 @@ func TestRootBasisRoundTrip(t *testing.T) {
 		if first.RootBasis == nil {
 			continue
 		}
-		for _, workers := range []int{0, 2} {
-			again := mustSolve(t, m, Params{Workers: workers, WarmBasis: first.RootBasis, TimeLimit: 10 * time.Second})
-			if again.Kernel.WarmAttempts == 0 {
-				t.Fatalf("trial %d workers %d: WarmBasis accepted but never probed", trial, workers)
-			}
-			if again.Status != first.Status || math.Abs(again.Obj-first.Obj) > 1e-9 {
-				t.Fatalf("trial %d workers %d: re-solve with RootBasis diverged: %v/%g vs %v/%g",
-					trial, workers, again.Status, again.Obj, first.Status, first.Obj)
-			}
+		again := mustSolve(t, m, Params{WarmBasis: first.RootBasis, TimeLimit: 10 * time.Second})
+		if again.Kernel.WarmAttempts == 0 {
+			t.Fatalf("trial %d: WarmBasis accepted but never probed", trial)
+		}
+		if again.Status != first.Status || math.Abs(again.Obj-first.Obj) > 1e-9 {
+			t.Fatalf("trial %d: re-solve with RootBasis diverged: %v/%g vs %v/%g",
+				trial, again.Status, again.Obj, first.Status, first.Obj)
 		}
 	}
 }
@@ -179,8 +158,10 @@ func TestWarmBasisRejected(t *testing.T) {
 	if first.RootBasis == nil {
 		t.Fatal("no root basis on an optimal solve")
 	}
-	if _, err := Solve(m, Params{WarmBasis: first.RootBasis, Workers: 2}); err != nil {
-		t.Fatalf("valid warm basis rejected: %v", err)
+	for _, fast := range []bool{false, true} {
+		if _, err := Solve(m, Params{WarmBasis: first.RootBasis, FastSearch: fast, Workers: 2}); err != nil {
+			t.Fatalf("fast=%v: valid warm basis rejected: %v", fast, err)
+		}
 	}
 }
 

@@ -4,7 +4,7 @@
 // packages — the kernel golden test, the FastSearch equivalence tests, and
 // any future cross-package differential harness — can all iterate the exact
 // same instances. The construction is frozen: the golden file pins each
-// instance's status, objective and (for the deterministic engines) the
+// instance's status, objective and (for the depth-first engine) the
 // node/iteration trajectory, so any change here invalidates the pins and
 // must go through the -update flow deliberately.
 package milptest

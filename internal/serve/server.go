@@ -7,7 +7,7 @@
 //     (HTTP 429 + Retry-After) instead of unbounded memory growth.
 //   - Every job runs under a wall-clock deadline wired to the solver's
 //     cooperative interrupt (milp.Params.Interrupt): an expired job is
-//     stopped at the next node/epoch boundary and completes with state
+//     stopped at the next node boundary and completes with state
 //     "deadline" and its anytime incumbent — never a hard kill.
 //   - Solver panics are isolated per worker: the panic becomes a
 //     structured job failure and a fresh worker replaces the crashed one.
@@ -36,7 +36,7 @@ import (
 
 // Config parameterizes a Server.
 type Config struct {
-	// Workers is the solver worker count (default 2).
+	// Workers is the number of jobs solved concurrently (default 2).
 	Workers int
 	// QueueCap bounds the number of admitted incomplete jobs — queued,
 	// running, or waiting out a retry backoff (default 64). Submissions

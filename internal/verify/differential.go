@@ -35,8 +35,9 @@ type Options struct {
 	// SimHyperperiods is how many hyperperiods the simulator replays when
 	// cross-checking measured against analytic latencies. Default 2.
 	SimHyperperiods int
-	// Workers is passed to the combinatorial solver and the MILP; any
-	// value must yield byte-identical results (asserted in tests).
+	// Workers is passed to the combinatorial solver and to the FastSearch
+	// lane (the depth-first MILP has no worker count); any value must
+	// yield byte-identical reports (asserted in tests).
 	Workers int
 	// FastSearch additionally solves each MILP-tractable instance with
 	// the nondeterministic work-stealing engine (milp.Params.FastSearch)
@@ -183,7 +184,7 @@ func runSolvers(a *let.Analysis, cm dma.CostModel, gamma dma.Deadlines, obj dma.
 	if a.NumComms() <= opts.MILPMaxComms {
 		rep.ran("milp")
 		sol, err := letopt.Solve(a, cm, gamma, obj, letopt.Options{
-			MILP: milp.Params{TimeLimit: opts.MILPTimeLimit, Workers: opts.Workers},
+			MILP: milp.Params{TimeLimit: opts.MILPTimeLimit},
 		})
 		if err == nil && (sol.Status == milp.StatusOptimal || sol.Status == milp.StatusInfeasible) {
 			res.milp = sol

@@ -29,8 +29,8 @@ type OptimalOptions struct {
 // CheckOptimal certifies a MILP result whose engine does not replay a
 // deterministic trajectory — milp.Params.FastSearch, whose node order,
 // steal pattern and incumbent publications depend on goroutine
-// scheduling. The deterministic engines are audited by replay (golden
-// trajectories, run-to-run and worker-count bit-identity); FastSearch has
+// scheduling. The depth-first engine is audited by replay (golden
+// trajectories, run-to-run bit-identity); FastSearch has
 // no trajectory to replay, so its contract is certified per result:
 //
 //  1. the decoded incumbent is replayed against the paper's feasibility

@@ -14,7 +14,7 @@ import (
 
 // TestWarmColdScenarioEquivalence runs the full Section-VI MILP on
 // generated scenarios with warm expansion enabled and disabled and holds
-// the deterministic engines to their contract end to end:
+// the depth-first engine to its contract end to end:
 //
 //   - warm and cold agree on status and objective whenever both decided
 //     (the node limit may cut the two trajectories at different
@@ -22,8 +22,7 @@ import (
 //     for bit, while the OBJ-DEL ratio may differ in the last bits between
 //     the two optimal LP vertices;
 //   - the warm solve replays bit-identically run to run, decoded layout and
-//     schedule included, and the epoch engine's trajectory is the same for
-//     1 and 4 workers;
+//     schedule included;
 //   - warm expansion actually happens, so none of this passes vacuously.
 //
 // The node limit makes truncated searches deterministic; a time limit would
@@ -48,55 +47,36 @@ func TestWarmColdScenarioEquivalence(t *testing.T) {
 			continue
 		}
 		if a.NumComms() > 5 {
-			continue // keep the MILP small enough for the worker sweeps
+			continue // keep the MILP small enough for the repeated solves
 		}
 		covered++
 		gamma := deriveGamma(a, cm, 0.2)
 		for _, obj := range []dma.Objective{dma.MinTransfers, dma.MinDelayRatio} {
-			solve := func(workers int, disable bool) *letopt.Result {
+			solve := func(disable bool) *letopt.Result {
 				res, err := letopt.Solve(a, cm, gamma, obj, letopt.Options{
-					MILP: milp.Params{
-						Workers:          workers,
-						MaxNodes:         96,
-						DisableWarmStart: disable,
-					},
+					MILP: milp.Params{MaxNodes: 96, DisableWarmStart: disable},
 				})
 				if err != nil {
-					t.Fatalf("%s/%s workers=%d disable=%v: %v", sc.Name, obj, workers, disable, err)
+					t.Fatalf("%s/%s disable=%v: %v", sc.Name, obj, disable, err)
 				}
 				res.Runtime = 0 // the only field a replay may change
 				return res
 			}
-			// Workers 0 exercises the sequential DFS engine, 1 and 4 the
-			// epoch engine.
-			for _, workers := range []int{0, 4} {
-				cold, warm := solve(workers, true), solve(workers, false)
-				if cold.Kernel.WarmAttempts != 0 {
-					t.Fatalf("%s/%s workers=%d: DisableWarmStart still solved warm: %+v",
-						sc.Name, obj, workers, cold.Kernel)
-				}
-				expands += warm.Kernel.WarmExpands
-				if !decidedStatus(cold.Status) || !decidedStatus(warm.Status) {
-					continue
-				}
+			cold, warm := solve(true), solve(false)
+			if cold.Kernel.WarmAttempts != 0 {
+				t.Fatalf("%s/%s: DisableWarmStart still solved warm: %+v", sc.Name, obj, cold.Kernel)
+			}
+			expands += warm.Kernel.WarmExpands
+			if decidedStatus(cold.Status) && decidedStatus(warm.Status) {
 				compared++
 				if cold.Status != warm.Status || !sameObjective(obj, cold.Objective, warm.Objective) {
-					t.Fatalf("%s/%s workers=%d: warm %s/%.17g, cold %s/%.17g",
-						sc.Name, obj, workers, warm.Status, warm.Objective, cold.Status, cold.Objective)
+					t.Fatalf("%s/%s: warm %s/%.17g, cold %s/%.17g",
+						sc.Name, obj, warm.Status, warm.Objective, cold.Status, cold.Objective)
 				}
 			}
-			replay := func(workers int) *letopt.Result {
-				first, again := solve(workers, false), solve(workers, false)
-				if !reflect.DeepEqual(first, again) {
-					t.Fatalf("%s/%s workers=%d: warm solve does not replay:\nfirst  %+v\nsecond %+v",
-						sc.Name, obj, workers, first, again)
-				}
-				return first
-			}
-			replay(0)
-			if one, four := replay(1), solve(4, false); !reflect.DeepEqual(one, four) {
-				t.Fatalf("%s/%s: epoch trajectory depends on the worker count:\n1 worker  %+v\n4 workers %+v",
-					sc.Name, obj, one, four)
+			if again := solve(false); !reflect.DeepEqual(warm, again) {
+				t.Fatalf("%s/%s: warm solve does not replay:\nfirst  %+v\nsecond %+v",
+					sc.Name, obj, warm, again)
 			}
 		}
 	}
