@@ -12,10 +12,10 @@
 //
 // With -diff, the parsed input is compared against a previously committed
 // JSON snapshot and a per-metric delta table is printed instead of JSON.
-// Deterministic metrics (lp_iters, nodes, warm_hits, replays) that drift
-// are marked, since they change only when the solver trajectory or the
-// margin search changes; timing metrics are reported as ratios and never
-// marked.
+// Deterministic metrics (lp_iters, nodes, warm_hits, warm_expands,
+// transfers, replays) that drift are marked, since they change only when
+// the solver trajectory, the proved optimum or the margin search changes;
+// timing metrics are reported as ratios and never marked.
 //
 // The parser understands the standard benchmark line format
 //
@@ -110,12 +110,14 @@ func parse(r io.Reader) (*Doc, error) {
 	return doc, nil
 }
 
-// deterministicMetrics are counters that are a pure function of the
-// search that produced them — the solver trajectory, or the number of
-// simulator replays of the robustness-margin search: any drift means the
-// search itself changed, not the machine it ran on.
+// deterministicMetrics are values that are a pure function of the search
+// that produced them — the solver trajectory, the proved optimum
+// ("transfers", equal on every engine), or the number of simulator replays
+// of the robustness-margin search: any drift means the search itself
+// changed, not the machine it ran on.
 var deterministicMetrics = map[string]bool{
-	"lp_iters": true, "nodes": true, "warm_hits": true, "replays": true,
+	"lp_iters": true, "nodes": true, "warm_hits": true, "warm_expands": true,
+	"transfers": true, "replays": true,
 }
 
 // fold aggregates repeated runs of the same benchmark (-count > 1): the

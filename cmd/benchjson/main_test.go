@@ -141,3 +141,63 @@ func TestReplaysDrift(t *testing.T) {
 		t.Fatalf("want exactly the replays row marked as drift, got %q:\n%s", drifted, text)
 	}
 }
+
+// TestSolverValuesDrift: "transfers" (the proved OBJ-DMAT optimum, on both
+// FastSearchBnB lanes) and "warm_expands" (a DFS counter of WarmStartBnB)
+// gate exactly. Every run in the committed BENCH_milp.json agrees on each
+// deterministic metric, both lanes report the same optimum, and a change
+// in either value is marked as drift while the timing of the same line is
+// not.
+func TestSolverValuesDrift(t *testing.T) {
+	data, err := os.ReadFile("../../BENCH_milp.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var committed Doc
+	if err := json.Unmarshal(data, &committed); err != nil {
+		t.Fatal(err)
+	}
+	first := map[string]float64{} // "name unit" -> value of the first run
+	var optima []float64
+	for _, b := range committed.Benchmarks {
+		for unit, v := range b.Metrics {
+			if !deterministicMetrics[unit] {
+				continue
+			}
+			key := b.Name + " " + unit
+			if prev, ok := first[key]; !ok {
+				first[key] = v
+				if unit == "transfers" {
+					optima = append(optima, v)
+				}
+			} else if prev != v {
+				t.Errorf("%s: committed runs disagree (%g vs %g)", key, prev, v)
+			}
+		}
+	}
+	if len(optima) != 2 || optima[0] != optima[1] {
+		t.Fatalf("committed transfers per FastSearchBnB lane = %v, want one optimum on two lanes", optima)
+	}
+
+	const lines = "BenchmarkFastSearchBnB/fast-2 \t 1\t 670439313 ns/op\t 4.000 transfers\n" +
+		"BenchmarkWarmStartBnB/warm-2 \t 1\t 538454572 ns/op\t 5687 lp_iters\t 38.00 warm_expands\t 15.00 warm_hits\n"
+	snapshot := filepath.Join(t.TempDir(), "BENCH_milp.json")
+	if err := run([]string{"-o", snapshot}, strings.NewReader(lines), &bytes.Buffer{}); err != nil {
+		t.Fatal(err)
+	}
+	fresh := strings.NewReplacer("4.000 transfers", "5.000 transfers", "38.00 warm_expands", "39.00 warm_expands",
+		"670439313", "370439313", "538454572", "938454572").Replace(lines)
+	var out bytes.Buffer
+	if err := run([]string{"-diff", snapshot}, strings.NewReader(fresh), &out); err != nil {
+		t.Fatal(err)
+	}
+	var drifted []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if strings.HasSuffix(line, "DRIFT") {
+			drifted = append(drifted, strings.Fields(line)[1])
+		}
+	}
+	if strings.Join(drifted, ",") != "transfers,warm_expands" {
+		t.Fatalf("want exactly the transfers and warm_expands rows marked as drift, got %q:\n%s", drifted, out.String())
+	}
+}

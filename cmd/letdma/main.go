@@ -238,20 +238,8 @@ func (c *common) analysis() (*let.Analysis, error) {
 	return waters.Analyze()
 }
 
-func (c *common) objective() (dma.Objective, error) {
-	switch *c.obj {
-	case "none", "noobj":
-		return dma.NoObjective, nil
-	case "dmat":
-		return dma.MinTransfers, nil
-	case "del":
-		return dma.MinDelayRatio, nil
-	}
-	return 0, fmt.Errorf("unknown objective %q", *c.obj)
-}
-
 func (c *common) config() (experiments.Config, error) {
-	obj, err := c.objective()
+	obj, err := dma.ParseObjective(*c.obj)
 	if err != nil {
 		return experiments.Config{}, err
 	}
@@ -614,7 +602,7 @@ func cmdLP(args []string) error {
 	if err != nil {
 		return err
 	}
-	obj, err := c.objective()
+	obj, err := dma.ParseObjective(*c.obj)
 	if err != nil {
 		return err
 	}

@@ -102,7 +102,7 @@ func buildOrderObjective(a *let.Analysis, transfers []dma.Transfer, gamma dma.De
 }
 
 // MaxExactOrderDefault bounds the transfer count for the exact subset DP
-// (2^n states).
+// (2^n states); larger sets fall back to the list-scheduling heuristic.
 const MaxExactOrderDefault = 20
 
 // orderExact finds an order of the transfers minimizing

@@ -24,10 +24,6 @@ const (
 
 // Options tunes the combinatorial solver.
 type Options struct {
-	// MaxExactOrder bounds the transfer count for exact DP ordering;
-	// larger sets fall back to the list-scheduling heuristic.
-	// Defaults to MaxExactOrderDefault.
-	MaxExactOrder int
 	// Granularities to try, most aggressive first. Defaults to
 	// merged, bundled, per-comm.
 	Granularities []Granularity
@@ -63,9 +59,6 @@ func Solve(a *let.Analysis, cm dma.CostModel, gamma dma.Deadlines, obj dma.Objec
 
 // SolveWithOptions is Solve with explicit tuning options.
 func SolveWithOptions(a *let.Analysis, cm dma.CostModel, gamma dma.Deadlines, obj dma.Objective, opts Options) (*Result, error) {
-	if opts.MaxExactOrder == 0 {
-		opts.MaxExactOrder = MaxExactOrderDefault
-	}
 	if len(opts.Granularities) == 0 {
 		if obj == dma.NoObjective {
 			// Pure feasibility: stop at the natural bundle granularity, as
@@ -93,7 +86,7 @@ func SolveWithOptions(a *let.Analysis, cm dma.CostModel, gamma dma.Deadlines, ob
 			wg.Add(1)
 			go func(i int, gran Granularity) {
 				defer wg.Done()
-				r, err := solveAt(a, cm, gamma, obj, gran, opts.MaxExactOrder)
+				r, err := solveAt(a, cm, gamma, obj, gran)
 				outs[i] = granOut{res: r, err: err}
 			}(i, gran)
 		}
@@ -108,7 +101,7 @@ func SolveWithOptions(a *let.Analysis, cm dma.CostModel, gamma dma.Deadlines, ob
 		if outs != nil {
 			res, err = outs[i].res, outs[i].err
 		} else {
-			res, err = solveAt(a, cm, gamma, obj, gran, opts.MaxExactOrder)
+			res, err = solveAt(a, cm, gamma, obj, gran)
 		}
 		if err != nil {
 			if firstErr == nil {
@@ -147,7 +140,7 @@ func better(obj dma.Objective, x, y *Result) bool {
 }
 
 // solveAt builds and orders a solution at one granularity and validates it.
-func solveAt(a *let.Analysis, cm dma.CostModel, gamma dma.Deadlines, obj dma.Objective, gran Granularity, maxExact int) (*Result, error) {
+func solveAt(a *let.Analysis, cm dma.CostModel, gamma dma.Deadlines, obj dma.Objective, gran Granularity) (*Result, error) {
 	var transfers []dma.Transfer
 	var layout *dma.Layout
 	var err error
@@ -174,7 +167,7 @@ func solveAt(a *let.Analysis, cm dma.CostModel, gamma dma.Deadlines, obj dma.Obj
 
 	var sched *dma.Schedule
 	exact := false
-	if len(transfers) <= maxExact {
+	if len(transfers) <= MaxExactOrderDefault {
 		order, _, ok := orderExact(a, cm, transfers, oo, pred)
 		if !ok {
 			return nil, fmt.Errorf("combopt: no order satisfies the deadlines at granularity %s", gran)

@@ -468,3 +468,25 @@ func TestValidateMemoryCapacity(t *testing.T) {
 		t.Errorf("exact-fit capacity rejected: %v", err)
 	}
 }
+
+// TestParseObjective: every objective name the CLI and the service accept
+// maps to its objective; any other name, the empty one included, is
+// rejected.
+func TestParseObjective(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Objective
+	}{
+		{"none", NoObjective}, {"noobj", NoObjective}, {"dmat", MinTransfers}, {"del", MinDelayRatio},
+	} {
+		got, err := ParseObjective(tc.name)
+		if err != nil || got != tc.want {
+			t.Errorf("ParseObjective(%q) = %v, %v; want %v", tc.name, got, err, tc.want)
+		}
+	}
+	for _, name := range []string{"", "DEL", "obj-del"} {
+		if _, err := ParseObjective(name); err == nil {
+			t.Errorf("ParseObjective(%q) accepted", name)
+		}
+	}
+}

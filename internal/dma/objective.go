@@ -1,5 +1,7 @@
 package dma
 
+import "fmt"
+
 // Objective selects the optimization goal of Section VI.
 type Objective int
 
@@ -24,4 +26,18 @@ func (o Objective) String() string {
 	default:
 		return "OBJ-DEL"
 	}
+}
+
+// ParseObjective maps a command-line objective name to its Objective:
+// "none" or "noobj" (NO-OBJ), "dmat" (OBJ-DMAT) and "del" (OBJ-DEL).
+func ParseObjective(name string) (Objective, error) {
+	switch name {
+	case "none", "noobj":
+		return NoObjective, nil
+	case "dmat":
+		return MinTransfers, nil
+	case "del":
+		return MinDelayRatio, nil
+	}
+	return 0, fmt.Errorf("dma: unknown objective %q", name)
 }

@@ -32,10 +32,6 @@ type CampaignConfig struct {
 	Automotive bool
 	// AutoOpts shapes the automotive generator when Automotive is set.
 	AutoOpts waters.AutomotiveOptions
-	// CostModel defaults to dma.DefaultCostModel.
-	CostModel *dma.CostModel
-	// CPUCostModel defaults to dma.CPUCopyCostModel.
-	CPUCostModel *dma.CostModel
 	// Workers fans the per-system feasibility evaluations out across a
 	// goroutine pool (0 or 1 = sequential). System generation stays on one
 	// per-alpha seeded *rand.Rand consumed in system order, and counts are
@@ -64,13 +60,7 @@ func Campaign(cfg CampaignConfig) ([]CampaignRow, error) {
 		cfg.Alphas = []float64{0.1, 0.3, 0.5, 0.7, 0.9}
 	}
 	cm := dma.DefaultCostModel()
-	if cfg.CostModel != nil {
-		cm = *cfg.CostModel
-	}
 	cpuCM := dma.CPUCopyCostModel()
-	if cfg.CPUCostModel != nil {
-		cpuCM = *cfg.CPUCostModel
-	}
 
 	// Stage 1 (sequential, rand-dependent): draw every system from one
 	// per-alpha seeded generator, consumed in system order, so the

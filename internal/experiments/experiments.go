@@ -73,10 +73,6 @@ type Config struct {
 	// iteration counts must leave it off. Callers needing an audited
 	// result gate it through verify.CheckOptimal.
 	FastSearch bool
-	// CostModel defaults to dma.DefaultCostModel().
-	CostModel *dma.CostModel
-	// CPUCostModel defaults to dma.CPUCopyCostModel().
-	CPUCostModel *dma.CostModel
 	// MILPLog, if non-nil, receives the MILP solver's progress lines,
 	// including the per-solve kernel counters (warm_hits, warm_expands,
 	// cold_solves, refactors).
@@ -90,14 +86,6 @@ type Config struct {
 func (c *Config) fill() {
 	if c.MILPTimeLimit == 0 {
 		c.MILPTimeLimit = 60 * time.Second
-	}
-	if c.CostModel == nil {
-		cm := dma.DefaultCostModel()
-		c.CostModel = &cm
-	}
-	if c.CPUCostModel == nil {
-		cm := dma.CPUCopyCostModel()
-		c.CPUCostModel = &cm
 	}
 }
 
@@ -130,7 +118,7 @@ func SolveProposed(a *let.Analysis, cfg Config) (*Solved, error) {
 // combinatorial solver ran.
 func SolveFull(a *let.Analysis, cfg Config) (*Solved, *letopt.Result, dma.Deadlines, error) {
 	cfg.fill()
-	cm := *cfg.CostModel
+	cm := dma.DefaultCostModel()
 	intf := rta.LETDemand(a, cm, dma.GiottoPerCommSchedule(a))
 	var gamma dma.Deadlines
 	if cfg.Alpha > 0 {
@@ -234,13 +222,12 @@ type Fig2Result struct {
 // Latencies are the worst case over the hyperperiod (attained at s0 by
 // Theorem 1).
 func Fig2(a *let.Analysis, cfg Config) (*Fig2Result, error) {
-	cfg.fill()
 	solved, err := SolveProposed(a, cfg)
 	if err != nil {
 		return nil, err
 	}
-	cm := *cfg.CostModel
-	cpuCM := *cfg.CPUCostModel
+	cm := dma.DefaultCostModel()
+	cpuCM := dma.CPUCopyCostModel()
 	perComm := dma.GiottoPerCommSchedule(a)
 	dmaB := dma.GiottoReorder(a, solved.Sched)
 
@@ -437,7 +424,6 @@ func Sensitivity(a *let.Analysis, alphas []float64, base Config) []SensitivityRo
 	var out []SensitivityRow
 	for _, alpha := range alphas {
 		cfg := base
-		cfg.fill()
 		cfg.Alpha = alpha
 		cfg.Objective = dma.MinDelayRatio
 		solved, err := SolveProposed(a, cfg)
@@ -445,7 +431,7 @@ func Sensitivity(a *let.Analysis, alphas []float64, base Config) []SensitivityRo
 			out = append(out, SensitivityRow{Alpha: alpha, Feasible: false, Reason: trimErr(err)})
 			continue
 		}
-		cm := *cfg.CostModel
+		cm := dma.DefaultCostModel()
 		out = append(out, SensitivityRow{
 			Alpha:    alpha,
 			Feasible: true,

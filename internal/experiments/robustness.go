@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 
+	"letdma/internal/dma"
 	"letdma/internal/faultsim"
 	"letdma/internal/let"
 	"letdma/internal/sim"
@@ -83,7 +84,6 @@ var robustProtocols = []sim.Protocol{sim.Proposed, sim.GiottoCPU, sim.GiottoDMAA
 // goroutines into a pre-indexed slice, so the report is byte-identical
 // for every worker count.
 func Robustness(a *let.Analysis, cfg Config, rcfg RobustnessConfig) (*RobustnessResult, error) {
-	cfg.fill()
 	rcfg.fill()
 	solved, err := SolveProposed(a, cfg)
 	if err != nil {
@@ -100,8 +100,8 @@ func Robustness(a *let.Analysis, cfg Config, rcfg RobustnessConfig) (*Robustness
 		proto := robustProtocols[i]
 		mc := faultsim.MarginConfig{
 			Analysis:            a,
-			Cost:                *cfg.CostModel,
-			CPUCost:             *cfg.CPUCostModel,
+			Cost:                dma.DefaultCostModel(),
+			CPUCost:             dma.CPUCopyCostModel(),
 			Protocol:            proto,
 			Policy:              rcfg.Policy,
 			Hyperperiods:        rcfg.Hyperperiods,

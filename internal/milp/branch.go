@@ -15,8 +15,8 @@ type Status int
 const (
 	// StatusOptimal: an optimal integer solution was found and proven.
 	StatusOptimal Status = iota
-	// StatusFeasible: the search stopped early (time, nodes or gap) with
-	// an incumbent integer solution.
+	// StatusFeasible: the search stopped early (interrupt, numerical
+	// retreat, time or nodes) with an incumbent integer solution.
 	StatusFeasible
 	// StatusInfeasible: the model has no integer solution.
 	StatusInfeasible
@@ -48,8 +48,7 @@ func (s Status) String() string {
 // react differently to a cooperative interrupt (a service job deadline, a
 // SIGINT/SIGTERM) than to a numerical retreat or an exhausted budget read
 // it instead of guessing from the status. For decided solves (optimal,
-// infeasible, unbounded) it is StopNone; a GapTol-terminated solve, which
-// still reports StatusOptimal, records StopGap.
+// infeasible, unbounded) it is StopNone.
 type StopCause int
 
 const (
@@ -69,8 +68,6 @@ const (
 	// StopLimit: a resource budget expired (TimeLimit, MaxNodes, or the
 	// kernel's per-LP iteration budget).
 	StopLimit
-	// StopGap: the relative MIP gap dropped below Params.GapTol.
-	StopGap
 )
 
 // String names the cause.
@@ -84,8 +81,6 @@ func (c StopCause) String() string {
 		return "numerical"
 	case StopLimit:
 		return "limit"
-	case StopGap:
-		return "gap"
 	default:
 		return "unknown"
 	}
@@ -100,17 +95,20 @@ func stopCauseOfLP(s lpStatus) StopCause {
 	return StopLimit
 }
 
+const (
+	// intTol is the integrality tolerance of the branching-variable choice.
+	intTol = 1e-6
+	// warmIterLimit bounds the dual-simplex pivots per warm solve before it
+	// falls back to the cold path.
+	warmIterLimit = 300
+)
+
 // Params controls the branch-and-bound search.
 type Params struct {
 	// TimeLimit bounds the wall-clock solve time; 0 means unlimited.
 	TimeLimit time.Duration
 	// MaxNodes bounds the number of explored nodes; 0 means unlimited.
 	MaxNodes int
-	// GapTol terminates when the relative MIP gap (see relGap) drops below
-	// it; 0 requires proof of optimality.
-	GapTol float64
-	// IntTol is the integrality tolerance (default 1e-6).
-	IntTol float64
 	// Workers is the FastSearch worker count (minimum 1); the
 	// deterministic depth-first engine ignores it.
 	Workers int
@@ -128,11 +126,6 @@ type Params struct {
 	// WarmStart, if non-nil, is checked for feasibility and installed as
 	// the initial incumbent.
 	WarmStart []float64
-	// WarmBasis, if non-nil, seeds the root node's dual-simplex warm solve
-	// with a known basis — typically Solution.RootBasis from a previous
-	// solve of the same model shape. It is validated against the model; an
-	// invalid basis makes Solve return an error.
-	WarmBasis *Basis
 	// DisableWarmStart selects the cold path: every node is solved by the
 	// two-phase simplex from the slack basis instead of warm from its
 	// parent's basis. Warm and cold solves agree on status and optimum but
@@ -141,9 +134,6 @@ type Params struct {
 	// reference oracle, so that its certificate never shares the warm LP
 	// path with the FastSearch result it checks.
 	DisableWarmStart bool
-	// WarmIterLimit bounds the dual-simplex pivots per warm solve before it
-	// falls back to the cold path; 0 means 300.
-	WarmIterLimit int
 	// BranchPriority, if non-nil, gives per-variable branching priorities
 	// (higher = branch earlier). Among fractional integer variables, the
 	// highest priority tier is branched first; ties break on fractionality.
@@ -186,12 +176,8 @@ type Solution struct {
 	// Kernel aggregates the simplex-kernel counters (warm hits, cold
 	// fallbacks, phase-1 iterations, refactorizations) across the solve.
 	Kernel KernelStats
-	// RootBasis is the final basis of the root relaxation when it reached
-	// optimality (nil otherwise); feed it to Params.WarmBasis to warm-start
-	// a re-solve of the same model shape.
-	RootBasis *Basis
 	// StopCause refines an early stop: interrupt vs numerical retreat vs
-	// budget limit vs gap tolerance. StopNone for decided solves.
+	// budget limit. StopNone for decided solves.
 	StopCause StopCause
 }
 
@@ -209,26 +195,23 @@ type bbNode struct {
 // steps both engines run; what stays per engine is the open-node
 // container, incumbent publication and the handling of an undecided LP.
 type searchState struct {
-	m          *Model
-	minM       *Model // minimization form of m (== m unless Maximize)
-	p          Params
-	start      time.Time
-	deadline   time.Time
-	objSign    float64
-	lo0, hi0   []float64
-	intVars    []VarID
-	intObjGCD  float64
-	objOffset  float64
-	incumbent  []float64
-	incObj     float64 // minimization objective of incumbent
-	warm       bool    // warm solves from the parent basis enabled
-	warmBudget int     // dual pivot budget per warm solve
-	stats      KernelStats
-	// rootBasis and stopCause are atomic because FastSearch workers write
-	// them concurrently; the depth-first engine pays one uncontended store
-	// per (rare) event. stopCause holds the FIRST recorded StopCause
-	// (0 = none).
-	rootBasis atomic.Pointer[Basis]
+	m         *Model
+	minM      *Model // minimization form of m (== m unless Maximize)
+	p         Params
+	start     time.Time
+	deadline  time.Time
+	objSign   float64
+	lo0, hi0  []float64
+	intVars   []VarID
+	intObjGCD float64
+	objOffset float64
+	incumbent []float64
+	incObj    float64 // minimization objective of incumbent
+	warm      bool    // warm solves from the parent basis enabled
+	stats     KernelStats
+	// stopCause is atomic because FastSearch workers write it
+	// concurrently; the depth-first engine pays one uncontended store per
+	// (rare) event. It holds the FIRST recorded StopCause (0 = none).
 	stopCause atomic.Int32
 }
 
@@ -242,9 +225,6 @@ func (st *searchState) noteStop(c StopCause) {
 // A non-nil Solution means the search is already decided (presolve proved
 // infeasibility); a non-nil error means the warm start was rejected.
 func prepSearch(m *Model, p Params, start time.Time) (*searchState, *Solution, error) {
-	if p.IntTol == 0 {
-		p.IntTol = 1e-6
-	}
 	st := &searchState{m: m, p: p, start: start, objSign: 1.0, incObj: math.Inf(1)}
 	if p.TimeLimit > 0 {
 		st.deadline = start.Add(p.TimeLimit)
@@ -270,11 +250,6 @@ func prepSearch(m *Model, p Params, start time.Time) (*searchState, *Solution, e
 		st.incObj = st.minObj(st.incumbent)
 		logf(p.Log, "warm start accepted, obj=%.6g\n", st.objSign*st.incObj)
 	}
-	if p.WarmBasis != nil {
-		if err := p.WarmBasis.validate(len(m.Vars), len(m.Cons)); err != nil {
-			return nil, nil, fmt.Errorf("milp: warm basis rejected: %w", err)
-		}
-	}
 
 	// Minimization form, built once: solveLP and the warm solves are pure
 	// functions of it, so sharing one copy across nodes (and workers) is
@@ -290,10 +265,6 @@ func prepSearch(m *Model, p Params, start time.Time) (*searchState, *Solution, e
 		st.minM = &neg
 	}
 	st.warm = !p.DisableWarmStart
-	st.warmBudget = p.WarmIterLimit
-	if st.warmBudget <= 0 {
-		st.warmBudget = 300
-	}
 
 	for _, v := range m.Vars {
 		if v.Type != Continuous {
@@ -313,11 +284,11 @@ func (st *searchState) minObj(x []float64) float64 { return st.objSign * st.m.Ob
 // integral within tolerance.
 func (st *searchState) pickBranchVar(x []float64) VarID {
 	branchVar := VarID(-1)
-	worstFrac := st.p.IntTol
+	worstFrac := intTol
 	bestPrio := math.MinInt
 	for _, id := range st.intVars {
 		f := math.Abs(x[id] - math.Round(x[id]))
-		if f <= st.p.IntTol {
+		if f <= intTol {
 			continue
 		}
 		prio := 0
@@ -371,14 +342,10 @@ type expansion struct {
 }
 
 // expand runs the engine-independent steps after an LP-optimal node solve:
-// root-basis capture, bound rounding against cutoff, the branching-variable
-// choice, and either the snap-and-check of an integral point or the
-// construction of the two children, which inherit the rounded bound and
-// this node's basis.
+// bound rounding against cutoff, the branching-variable choice, and either
+// the snap-and-check of an integral point or the construction of the two
+// children, which inherit the rounded bound and this node's basis.
 func (st *searchState) expand(node *bbNode, res lpSolution, cutoff float64) expansion {
-	if node.depth == 0 {
-		st.rootBasis.Store(res.basis)
-	}
 	var ex expansion
 	ex.bound = res.obj
 	if ex.bound > cutoff-1e-9 {
@@ -436,7 +403,7 @@ func (st *searchState) finish(openBound float64, nodes, iters int, hitLimit bool
 	}
 	sol := &Solution{
 		Nodes: nodes, SimplexIters: iters, Runtime: time.Since(st.start),
-		Kernel: st.stats, RootBasis: st.rootBasis.Load(),
+		Kernel: st.stats,
 	}
 	if hitLimit {
 		sol.StopCause = StopCause(st.stopCause.Load())
@@ -459,14 +426,14 @@ func (st *searchState) finish(openBound float64, nodes, iters int, hitLimit bool
 		sol.Obj = st.objSign * st.incObj
 		sol.BestBound = st.objSign * bestBound
 		sol.Gap = relGap(st.incObj, bestBound)
-		if !hitLimit || sol.Gap <= st.p.GapTol+1e-12 {
+		if !hitLimit || sol.Gap <= 1e-12 {
 			sol.Status = StatusOptimal
 		} else {
 			sol.Status = StatusFeasible
 		}
 	}
-	logf(st.p.Log, "done: status=%s obj=%.6g bound=%.6g gap=%.3g nodes=%d iters=%d in %v\n",
-		sol.Status, sol.Obj, sol.BestBound, sol.Gap, sol.Nodes, sol.SimplexIters, sol.Runtime)
+	logf(st.p.Log, "done: status=%s stop=%s obj=%.6g bound=%.6g gap=%.3g nodes=%d iters=%d in %v\n",
+		sol.Status, sol.StopCause, sol.Obj, sol.BestBound, sol.Gap, sol.Nodes, sol.SimplexIters, sol.Runtime)
 	logf(st.p.Log, "kernel: warm_attempts=%d warm_hits=%d warm_expands=%d cold_solves=%d cold_fallbacks=%d warm_iters=%d phase1_iters=%d phase1_saved=%d refactors=%d\n",
 		st.stats.WarmAttempts, st.stats.WarmHits, st.stats.WarmExpands, st.stats.ColdSolves, st.stats.ColdFallbacks,
 		st.stats.WarmIters, st.stats.Phase1Iters, st.stats.Phase1ItersSaved, st.stats.Refactorizations)
@@ -490,7 +457,7 @@ func Solve(m *Model, p Params) (*Solution, error) {
 
 	nodes := 0
 	simplexIters := 0
-	stack := []*bbNode{{lo: st.lo0, hi: st.hi0, bound: math.Inf(-1), depth: 0, pbasis: p.WarmBasis}}
+	stack := []*bbNode{{lo: st.lo0, hi: st.hi0, bound: math.Inf(-1), depth: 0}}
 	hitLimit := false
 
 	openBound := func() float64 {
@@ -560,13 +527,6 @@ func Solve(m *Model, p Params) (*Solution, error) {
 		case ex.cand != nil && ex.candObj < st.incObj-1e-12:
 			st.incumbent, st.incObj = ex.cand, ex.candObj
 			logf(p.Log, "node %d: new incumbent obj=%.6g\n", nodes, st.objSign*st.incObj)
-			if p.GapTol > 0 && relGap(st.incObj, math.Min(openBound(), ex.bound)) <= p.GapTol {
-				st.noteStop(StopGap)
-				hitLimit = true
-			}
-		}
-		if hitLimit {
-			break
 		}
 	}
 
@@ -610,7 +570,7 @@ func (st *searchState) solveNode(node *bbNode, incObj float64) nodeResult {
 	if st.warm && node.pbasis != nil {
 		nr.stats.WarmAttempts++
 		sol, out := warmSolveLP(st.minM, node.lo, node.hi, node.pbasis,
-			incObj, st.intObjGCD, st.objOffset, st.warmBudget, st.deadline)
+			incObj, st.intObjGCD, st.objOffset, warmIterLimit, st.deadline)
 		nr.stats.WarmIters += sol.iters
 		nr.stats.addCounters(sol.counters)
 		switch {
@@ -648,8 +608,7 @@ func (st *searchState) solveNode(node *bbNode, incObj float64) nodeResult {
 // following the CPLEX convention |inc - bound| / (1e-10 + |inc|). The
 // denominator floors at 1e-10 rather than 1: with max(1, |inc|) every
 // sub-unit objective (the OBJ-DEL delay ratios all live in (0, 1]) had its
-// gap understated by a factor of 1/|inc|, so GapTol early exits fired long
-// before the true relative gap was reached, and negative incumbents close
+// gap understated by a factor of 1/|inc|, and negative incumbents close
 // to zero reported near-zero gaps against much smaller bounds. A bound
 // that has met or numerically crossed the incumbent reports gap 0.
 func relGap(inc, bound float64) float64 {

@@ -174,29 +174,26 @@ func TestTimeLimitReturnsIncumbent(t *testing.T) {
 	}
 }
 
-func TestGapTolerance(t *testing.T) {
-	m := NewModel()
-	x := m.AddInteger("x", 0, 1000)
-	m.AddLE("c", NewExpr(0).Add(x, 3), 2999)
-	m.SetObjective(Maximize, Sum(1, x))
-	sol := mustSolve(t, m, Params{GapTol: 0.5})
-	if sol.X == nil {
-		t.Fatal("expected a solution")
-	}
-	if sol.Gap > 0.5+1e-9 {
-		t.Errorf("gap = %g, want <= 0.5", sol.Gap)
-	}
-}
-
+// TestLogOutput: the done: summary names the stop cause, none for a
+// decided solve and limit for one cut short by MaxNodes.
 func TestLogOutput(t *testing.T) {
-	var buf bytes.Buffer
 	m := NewModel()
 	x := m.AddInteger("x", 0, 10)
-	m.AddLE("c", NewExpr(0).Add(x, 2), 7)
-	m.SetObjective(Maximize, Sum(1, x))
-	mustSolve(t, m, Params{Log: &buf})
-	if !strings.Contains(buf.String(), "done:") {
-		t.Errorf("log output missing summary: %q", buf.String())
+	y := m.AddInteger("y", 0, 10)
+	m.AddLE("c", NewExpr(0).Add(x, 2).Add(y, 2), 7)
+	m.SetObjective(Maximize, Sum(1, x, y))
+	for _, tc := range []struct {
+		maxNodes int
+		want     string
+	}{
+		{0, "done: status=optimal stop=none "},
+		{1, " stop=limit "},
+	} {
+		var buf bytes.Buffer
+		mustSolve(t, m, Params{Log: &buf, MaxNodes: tc.maxNodes})
+		if !strings.Contains(buf.String(), tc.want) {
+			t.Errorf("MaxNodes %d: log output lacks %q: %q", tc.maxNodes, tc.want, buf.String())
+		}
 	}
 }
 
@@ -604,8 +601,8 @@ func TestRelGap(t *testing.T) {
 
 // TestGapReportedOnTrueScale is the end-to-end regression for the old
 // max(1, |inc|) denominator: a sub-unit-objective model stopped at the
-// node limit must NOT be declared optimal when its true relative gap
-// exceeds GapTol, even though the absolute gap is small.
+// node limit reports its true relative gap, not the small absolute one,
+// and is not declared optimal.
 func TestGapReportedOnTrueScale(t *testing.T) {
 	m := NewModel()
 	x := m.AddInteger("x", 0, 3)
@@ -615,14 +612,9 @@ func TestGapReportedOnTrueScale(t *testing.T) {
 	// Warm start (3, 0): objective 0.9. Root LP gives x=1.5 (objective
 	// 0.45), so after one node the bound is 0.45: true relative gap 0.5,
 	// absolute gap 0.45.
-	sol := mustSolve(t, m, Params{
-		WarmStart: []float64{3, 0},
-		MaxNodes:  1,
-		GapTol:    0.47,
-	})
+	sol := mustSolve(t, m, Params{WarmStart: []float64{3, 0}, MaxNodes: 1})
 	if sol.Status != StatusFeasible {
-		t.Fatalf("status = %v, want feasible (gap %g must exceed GapTol on the |inc| scale)",
-			sol.Status, sol.Gap)
+		t.Fatalf("status = %v, want feasible (gap %g)", sol.Status, sol.Gap)
 	}
 	if math.Abs(sol.Gap-0.5) > 1e-6 {
 		t.Fatalf("gap = %g, want 0.5 (= 0.45/0.9)", sol.Gap)

@@ -75,8 +75,8 @@ func (d *fastDeque) pop() *bbNode {
 }
 
 // minBound returns the smallest relaxation bound among queued nodes, +Inf
-// when empty. It is a snapshot for steal-victim selection and the global
-// bound estimate; the queue may change the instant the lock is released.
+// when empty. It is a snapshot for steal-victim selection; the queue may
+// change the instant the lock is released.
 func (d *fastDeque) minBound() float64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -139,16 +139,12 @@ type fastEngine struct {
 	// nodes counts expanded nodes (the MaxNodes budget).
 	nodes atomic.Int64
 	// stop orders all workers to wind down; hitLimit records that the stop
-	// was a limit (deadline, node budget, interrupt, gap) rather than
+	// was a limit (deadline, node budget, interrupt) rather than
 	// exhaustion; unbounded records a proven unbounded relaxation.
 	stop      atomic.Bool
 	hitLimit  atomic.Bool
 	unbounded atomic.Bool
-	// curBound[w] holds math.Float64bits of the bound of the node worker w
-	// is currently processing (+Inf when idle), so the global bound snapshot
-	// can account for in-flight work.
-	curBound []atomic.Uint64
-	logMu    sync.Mutex
+	logMu     sync.Mutex
 }
 
 // cutoff returns the published incumbent objective, +Inf when none.
@@ -174,26 +170,6 @@ func (e *fastEngine) tryPublish(obj float64, x []float64) bool {
 			return true
 		}
 	}
-}
-
-// snapshotBound estimates the global lower bound: the minimum over all
-// queued nodes and all in-flight nodes. Used for GapTol early stopping and
-// for the final BestBound after an early stop; both uses tolerate the
-// snapshot being momentarily stale because a node's bound never changes once
-// created and pruning only removes nodes whose bound is above the incumbent.
-func (e *fastEngine) snapshotBound() float64 {
-	b := math.Inf(1)
-	for _, d := range e.deques {
-		if m := d.minBound(); m < b {
-			b = m
-		}
-	}
-	for i := range e.curBound {
-		if v := math.Float64frombits(e.curBound[i].Load()); v < b {
-			b = v
-		}
-	}
-	return b
 }
 
 // requestStop orders every worker to wind down at its next node boundary.
@@ -257,9 +233,7 @@ func (e *fastEngine) run(id int, ws *fastWorker) {
 			continue
 		}
 		idle = 0
-		e.curBound[id].Store(math.Float64bits(node.bound))
 		e.process(id, node, ws)
-		e.curBound[id].Store(math.Float64bits(math.Inf(1)))
 	}
 }
 
@@ -319,10 +293,6 @@ func (e *fastEngine) process(id int, node *bbNode, ws *fastWorker) {
 			logf(p.Log, "fast: new incumbent obj=%.6g\n", st.objSign*ex.candObj)
 			e.logMu.Unlock()
 		}
-		if p.GapTol > 0 && relGap(ex.candObj, math.Min(e.snapshotBound(), ex.bound)) <= p.GapTol {
-			st.noteStop(StopGap)
-			e.requestStop(true)
-		}
 	}
 }
 
@@ -338,20 +308,15 @@ func solveFast(m *Model, p Params) (*Solution, error) {
 		return early, err
 	}
 
-	e := &fastEngine{
-		st:       st,
-		deques:   make([]*fastDeque, workers),
-		curBound: make([]atomic.Uint64, workers),
-	}
+	e := &fastEngine{st: st, deques: make([]*fastDeque, workers)}
 	for i := range e.deques {
 		e.deques[i] = &fastDeque{}
-		e.curBound[i].Store(math.Float64bits(math.Inf(1)))
 	}
 	if st.incumbent != nil {
 		e.inc.Store(&fastIncumbent{obj: st.incObj, x: st.incumbent})
 	}
 	e.inflight.Store(1)
-	e.deques[0].push(&bbNode{lo: st.lo0, hi: st.hi0, bound: math.Inf(-1), depth: 0, pbasis: p.WarmBasis})
+	e.deques[0].push(&bbNode{lo: st.lo0, hi: st.hi0, bound: math.Inf(-1), depth: 0})
 
 	locals := make([]fastWorker, workers)
 	var wg sync.WaitGroup

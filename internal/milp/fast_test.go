@@ -210,38 +210,6 @@ func TestFastSearchEdgeCases(t *testing.T) {
 			t.Errorf("limited solve reported gap %g, want positive", sol.Gap)
 		}
 	})
-	t.Run("gap tolerance", func(t *testing.T) {
-		m := symmetricTieModel(3, 4)
-		sol, err := milp.Solve(m, milp.Params{FastSearch: true, Workers: 4, GapTol: 0.5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sol.X == nil {
-			t.Fatal("no incumbent under GapTol")
-		}
-		if sol.Status != milp.StatusOptimal && sol.Status != milp.StatusFeasible {
-			t.Fatalf("status=%v, want optimal/feasible", sol.Status)
-		}
-	})
-	t.Run("warm basis round trip", func(t *testing.T) {
-		m := symmetricTieModel(3, 4)
-		first, err := milp.Solve(m, milp.Params{FastSearch: true, Workers: 2})
-		if err != nil || first.Status != milp.StatusOptimal {
-			t.Fatalf("status=%v err=%v, want optimal", first.Status, err)
-		}
-		if first.RootBasis == nil {
-			t.Fatal("no root basis from the FastSearch solve")
-		}
-		again, err := milp.Solve(m, milp.Params{
-			FastSearch: true, Workers: 2, WarmBasis: first.RootBasis,
-		})
-		if err != nil || again.Status != milp.StatusOptimal {
-			t.Fatalf("re-solve status=%v err=%v, want optimal", again.Status, err)
-		}
-		if math.Abs(again.Obj-first.Obj) > 1e-9*(1+math.Abs(first.Obj)) {
-			t.Fatalf("re-solve obj %.17g, first %.17g", again.Obj, first.Obj)
-		}
-	})
 	t.Run("stats plausible", func(t *testing.T) {
 		m := symmetricTieModel(3, 6)
 		sol, err := milp.Solve(m, milp.Params{FastSearch: true, Workers: 8})

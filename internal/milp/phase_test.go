@@ -1,6 +1,7 @@
 package milp
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -74,7 +75,7 @@ func TestDriveOutArtificials(t *testing.T) {
 			t.Errorf("row %d: artificial column %d still basic in the snapshot", i, c)
 		}
 	}
-	if err := res.basis.validate(len(m.Vars), len(m.Cons)); err != nil {
+	if err := validateBasis(res.basis, len(m.Vars), len(m.Cons)); err != nil {
 		t.Fatalf("snapshot does not validate: %v", err)
 	}
 
@@ -95,7 +96,7 @@ func warmRoundTrip(t *testing.T, m *Model, lo, hi []float64, cold lpSolution) {
 	if math.Abs(warm.obj-cold.obj) > 1e-9 {
 		t.Fatalf("warm optimum %g, cold optimum %g", warm.obj, cold.obj)
 	}
-	if err := warm.basis.validate(len(m.Vars), len(m.Cons)); err != nil {
+	if err := validateBasis(warm.basis, len(m.Vars), len(m.Cons)); err != nil {
 		t.Fatalf("warm snapshot does not validate: %v", err)
 	}
 }
@@ -135,4 +136,46 @@ func TestDriveOutRedundantEQ(t *testing.T) {
 	if sol.Status != StatusOptimal || math.Abs(sol.Obj-4) > 1e-9 {
 		t.Fatalf("solve: status=%v obj=%v, want optimal 4 (x=0, y=4)", sol.Status, sol.Obj)
 	}
+}
+
+// validateBasis checks a basis snapshot against a model shape (nStruct
+// variables, rows constraints): every basic column in range, basic in
+// exactly one row and marked basic, every state known, every artificial
+// sign +/-1.
+func validateBasis(b *Basis, nStruct, rows int) error {
+	ncols := nStruct + 2*rows
+	if len(b.Cols) != rows || len(b.States) != ncols || len(b.ArtSign) != rows {
+		return fmt.Errorf("shape mismatch: basis %d/%d/%d, model wants %d/%d/%d",
+			len(b.Cols), len(b.States), len(b.ArtSign), rows, ncols, rows)
+	}
+	inBasis := make([]bool, ncols)
+	for _, c := range b.Cols {
+		if c < 0 || int(c) >= ncols {
+			return fmt.Errorf("basic column %d out of range [0, %d)", c, ncols)
+		}
+		if inBasis[c] {
+			return fmt.Errorf("column %d basic in more than one row", c)
+		}
+		inBasis[c] = true
+		if b.States[c] != stBasic {
+			return fmt.Errorf("column %d in the basis but not marked basic", c)
+		}
+	}
+	for j, st := range b.States {
+		switch st {
+		case stBasic:
+			if !inBasis[j] {
+				return fmt.Errorf("column %d marked basic but missing from the basis", j)
+			}
+		case stLower, stUpper, stFree:
+		default:
+			return fmt.Errorf("column %d has invalid state %d", j, st)
+		}
+	}
+	for i, sg := range b.ArtSign {
+		if sg != 1 && sg != -1 {
+			return fmt.Errorf("artificial %d has invalid sign %d", i, sg)
+		}
+	}
+	return nil
 }

@@ -1,7 +1,6 @@
 package milp
 
 import (
-	"fmt"
 	"math"
 	"time"
 )
@@ -48,8 +47,7 @@ const (
 )
 
 // Basis is a snapshot of a simplex basis, used to warm-start the
-// dual-simplex solve of child nodes (and, via Params.WarmBasis, re-solves
-// of the same model). Column indices follow the computational form built by
+// dual-simplex solve of child nodes. Column indices follow the computational form built by
 // buildLP: structural variables first, then one slack per constraint, then
 // one phase-1 artificial per constraint.
 type Basis struct {
@@ -62,46 +60,6 @@ type Basis struct {
 	// on the residual of the originating solve and must be reproduced for
 	// the snapshot's basis matrix to be reconstructed exactly.
 	ArtSign []int8
-}
-
-// validate checks the snapshot against a model shape (nStruct variables,
-// rows constraints).
-func (b *Basis) validate(nStruct, rows int) error {
-	ncols := nStruct + 2*rows
-	if len(b.Cols) != rows || len(b.States) != ncols || len(b.ArtSign) != rows {
-		return fmt.Errorf("shape mismatch: basis %d/%d/%d, model wants %d/%d/%d",
-			len(b.Cols), len(b.States), len(b.ArtSign), rows, ncols, rows)
-	}
-	inBasis := make([]bool, ncols)
-	for _, c := range b.Cols {
-		if c < 0 || int(c) >= ncols {
-			return fmt.Errorf("basic column %d out of range [0, %d)", c, ncols)
-		}
-		if inBasis[c] {
-			return fmt.Errorf("column %d basic in more than one row", c)
-		}
-		inBasis[c] = true
-		if b.States[c] != stBasic {
-			return fmt.Errorf("column %d in the basis but not marked basic", c)
-		}
-	}
-	for j, st := range b.States {
-		switch st {
-		case stBasic:
-			if !inBasis[j] {
-				return fmt.Errorf("column %d marked basic but missing from the basis", j)
-			}
-		case stLower, stUpper, stFree:
-		default:
-			return fmt.Errorf("column %d has invalid state %d", j, st)
-		}
-	}
-	for i, sg := range b.ArtSign {
-		if sg != 1 && sg != -1 {
-			return fmt.Errorf("artificial %d has invalid sign %d", i, sg)
-		}
-	}
-	return nil
 }
 
 // snapshotBasis captures the current basis of an optimal solve for reuse by

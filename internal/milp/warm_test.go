@@ -106,65 +106,6 @@ func TestWarmStartWithIncumbentEquivalence(t *testing.T) {
 	}
 }
 
-// TestRootBasisRoundTrip feeds Solution.RootBasis back through
-// Params.WarmBasis: the re-solve must validate the basis, produce the same
-// answer, and actually attempt a probe at the root.
-func TestRootBasisRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	for trial := 0; trial < 40; trial++ {
-		m := randomModel(rng)
-		first := mustSolve(t, m, Params{TimeLimit: 10 * time.Second})
-		if first.RootBasis == nil {
-			continue
-		}
-		again := mustSolve(t, m, Params{WarmBasis: first.RootBasis, TimeLimit: 10 * time.Second})
-		if again.Kernel.WarmAttempts == 0 {
-			t.Fatalf("trial %d: WarmBasis accepted but never probed", trial)
-		}
-		if again.Status != first.Status || math.Abs(again.Obj-first.Obj) > 1e-9 {
-			t.Fatalf("trial %d: re-solve with RootBasis diverged: %v/%g vs %v/%g",
-				trial, again.Status, again.Obj, first.Status, first.Obj)
-		}
-	}
-}
-
-// TestWarmBasisRejected pins the validation errors for malformed bases.
-func TestWarmBasisRejected(t *testing.T) {
-	m := NewModel()
-	x := m.AddInteger("x", 0, 10)
-	m.AddLE("c", NewExpr(0).Add(x, 1), 7)
-	m.SetObjective(Maximize, Sum(1, x))
-
-	cases := []struct {
-		name  string
-		basis *Basis
-	}{
-		{"wrong shape", &Basis{Cols: []int32{0}, States: []int8{stBasic}, ArtSign: []int8{1}}},
-		{"column out of range", &Basis{Cols: []int32{9}, States: []int8{stLower, stBasic, stLower}, ArtSign: []int8{1}}},
-		{"state not basic", &Basis{Cols: []int32{1}, States: []int8{stLower, stLower, stLower}, ArtSign: []int8{1}}},
-		{"invalid art sign", &Basis{Cols: []int32{1}, States: []int8{stLower, stBasic, stLower}, ArtSign: []int8{0}}},
-		{"basic not in basis", &Basis{Cols: []int32{1}, States: []int8{stBasic, stBasic, stLower}, ArtSign: []int8{1}}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if _, err := Solve(m, Params{WarmBasis: tc.basis}); err == nil {
-				t.Fatal("malformed warm basis accepted")
-			}
-		})
-	}
-
-	// A valid basis (from a solve) must be accepted by both engines.
-	first := mustSolve(t, m, Params{})
-	if first.RootBasis == nil {
-		t.Fatal("no root basis on an optimal solve")
-	}
-	for _, fast := range []bool{false, true} {
-		if _, err := Solve(m, Params{WarmBasis: first.RootBasis, FastSearch: fast, Workers: 2}); err != nil {
-			t.Fatalf("fast=%v: valid warm basis rejected: %v", fast, err)
-		}
-	}
-}
-
 // TestObjIntegerStepHugeCoefficient is the regression test for the
 // unguarded float64 -> int64 conversion: coefficients above 2^53 (still
 // exactly integral as float64) must disable gcd bound rounding entirely,

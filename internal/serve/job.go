@@ -135,10 +135,8 @@ func normalizeSpec(spec JobSpec) (JobSpec, []byte, error) {
 	if selected != 1 {
 		return spec, nil, fmt.Errorf("serve: spec must select exactly one of system, lite, waters")
 	}
-	switch spec.Objective {
-	case "", "none", "noobj", "dmat", "del":
-	default:
-		return spec, nil, fmt.Errorf("serve: unknown objective %q", spec.Objective)
+	if _, err := specObjective(spec.Objective); err != nil {
+		return spec, nil, err
 	}
 	switch spec.Solver {
 	case "", "comb", "milp":
@@ -218,17 +216,13 @@ func canonicalSolver(s string) string {
 	return s
 }
 
-// specObjective maps the spec's objective name to the dma constant.
+// specObjective maps the spec's objective name to the dma constant; the
+// empty name is the CLI default, OBJ-DEL.
 func specObjective(s string) (dma.Objective, error) {
-	switch canonicalObjective(s) {
-	case "none":
-		return dma.NoObjective, nil
-	case "dmat":
-		return dma.MinTransfers, nil
-	case "del":
+	if s == "" {
 		return dma.MinDelayRatio, nil
 	}
-	return 0, fmt.Errorf("serve: unknown objective %q", s)
+	return dma.ParseObjective(s)
 }
 
 // specConfig builds the experiments configuration for a normalized spec.

@@ -128,11 +128,15 @@ type Server struct {
 	journal *Journal
 	q       *queue
 
-	mu       sync.Mutex
-	jobs     map[string]*Job
-	order    []string     // keys in admission order
-	running  map[int]*Job // worker id -> in-flight job
-	draining bool
+	mu      sync.Mutex
+	jobs    map[string]*Job
+	order   []string     // keys in admission order
+	running map[int]*Job // worker id -> in-flight job
+	// incomplete counts the jobs that hold an admission slot: admitted or
+	// resumed, and not yet terminal. A job waiting out a retry backoff or
+	// journaled as interrupted keeps its slot.
+	incomplete int
+	draining   bool
 
 	wg sync.WaitGroup
 }
@@ -178,6 +182,7 @@ func New(cfg Config) (*Server, error) {
 		// Crashed or drained mid-flight: resume as queued. The journal
 		// already holds the submit record, so nothing is re-appended.
 		j.State = StateQueued
+		s.incomplete++
 		s.q.push(j)
 		s.logf("job %s: resumed from journal (attempts so far: %d)", shortKey(key), j.Attempts)
 	}
@@ -215,13 +220,7 @@ func (s *Server) admit(norm JobSpec, key string) (JobStatus, error) {
 	if j, ok := s.jobs[key]; ok {
 		return s.snapshotLocked(j), nil
 	}
-	incomplete := 0
-	for _, k := range s.order {
-		if !s.jobs[k].State.Terminal() {
-			incomplete++
-		}
-	}
-	if incomplete >= s.cfg.QueueCap {
+	if s.incomplete >= s.cfg.QueueCap {
 		return JobStatus{}, ErrQueueFull
 	}
 	j := &Job{Key: key, Spec: norm, State: StateQueued, done: make(chan struct{})}
@@ -230,6 +229,7 @@ func (s *Server) admit(norm JobSpec, key string) (JobStatus, error) {
 	}
 	s.jobs[key] = j
 	s.order = append(s.order, key)
+	s.incomplete++
 	s.q.push(j)
 	s.logf("job %s: admitted", shortKey(key))
 	return s.snapshotLocked(j), nil

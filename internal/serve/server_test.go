@@ -294,6 +294,115 @@ func TestBackpressure(t *testing.T) {
 	}
 }
 
+// TestAdmissionSlots pins which jobs hold an admission slot against
+// QueueCap 1. A job waiting out a retry backoff, one journaled as
+// interrupted, and a pending job replayed from the journal keep their
+// slot, so the next new spec is refused; a deadline or failed completion
+// frees it.
+func TestAdmissionSlots(t *testing.T) {
+	interrupt := func(JobSpec, *Stopper) (*JobResult, string) {
+		res := incumbent()
+		res.StopCause = stopCauseInterrupt
+		return res, ""
+	}
+	for _, tc := range []struct {
+		name     string
+		solve    func(JobSpec, *Stopper) (*JobResult, string)
+		deadline time.Duration
+		settled  State // the state the first job rests in after one attempt
+		holds    bool
+	}{
+		{"retry", func(JobSpec, *Stopper) (*JobResult, string) {
+			return &JobResult{State: StateDone}, "milp kernel numerical-limit stop"
+		}, 0, StateQueued, true},
+		{"interrupted", interrupt, 0, StateInterrupted, true},
+		{"deadline", func(spec JobSpec, st *Stopper) (*JobResult, string) {
+			<-st.C()
+			return interrupt(spec, st)
+		}, 20 * time.Millisecond, StateDeadline, false},
+		{"failed", func(JobSpec, *Stopper) (*JobResult, string) {
+			return &JobResult{State: StateFailed, Error: "fixture"}, ""
+		}, 0, StateFailed, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{JournalPath: filepath.Join(t.TempDir(), "j"), Workers: 1, QueueCap: 1, RetryBackoff: time.Hour}
+			cfg.testSolve = tc.solve
+			s := startServer(t, cfg)
+			spec := testSpec(0.3)
+			spec.Deadline = tc.deadline
+			first, err := s.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitSettled(t, s, first.Key, tc.settled)
+			_, err = s.Submit(testSpec(0.4))
+			if tc.holds && !errors.Is(err, ErrQueueFull) {
+				t.Fatalf("%s job freed its slot: err = %v; want ErrQueueFull", tc.settled, err)
+			}
+			if !tc.holds && err != nil {
+				t.Fatalf("%s job kept its slot: %v", tc.settled, err)
+			}
+		})
+	}
+
+	t.Run("replayed pending", func(t *testing.T) {
+		journal := filepath.Join(t.TempDir(), "j")
+		pendSpec, pendKey := mustNormalize(t, testSpec(0.3))
+		writeJournalLines(t, journal, mustJSONLine(t, journalRecord{Rec: "submit", Key: pendKey, Spec: &pendSpec}))
+		release := make(chan struct{})
+		cfg := Config{JournalPath: journal, Workers: 1, QueueCap: 1}
+		cfg.testSolve = func(spec JobSpec, st *Stopper) (*JobResult, string) {
+			select {
+			case <-release:
+			case <-st.C():
+			}
+			return incumbent(), ""
+		}
+		s := startServer(t, cfg)
+		if _, err := s.Submit(testSpec(0.4)); !errors.Is(err, ErrQueueFull) {
+			t.Fatalf("replayed pending job not counted: err = %v; want ErrQueueFull", err)
+		}
+		close(release)
+		waitTerminal(t, s, pendKey)
+		if _, err := s.Submit(testSpec(0.4)); err != nil {
+			t.Fatalf("completed replayed job kept its slot: %v", err)
+		}
+	})
+}
+
+// startServer builds and starts a server that is shut down when the test
+// ends.
+func startServer(t *testing.T, cfg Config) *Server {
+	t.Helper()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := s.Shutdown(); err != nil {
+			t.Error(err)
+		}
+	})
+	s.Start()
+	return s
+}
+
+// waitSettled polls until key has finished its first attempt and rests in
+// state want.
+func waitSettled(t *testing.T, s *Server, key string, want State) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		if st, ok := s.Status(key); ok && st.Attempts == 1 && st.State == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s never settled in state %s", key, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestDrainJournalsInFlightIncumbent: Shutdown interrupts a running job,
 // journals its incumbent under the non-terminal interrupted state, and a
 // new server over the same journal resumes it as pending — never

@@ -164,11 +164,11 @@ func (s *Server) complete(j *Job, res *JobResult) {
 	s.mu.Lock()
 	j.Result = res
 	j.State = res.State
-	terminal := res.State.Terminal()
-	s.mu.Unlock()
-	if terminal {
+	if res.State.Terminal() {
+		s.incomplete--
 		close(j.done)
 	}
+	s.mu.Unlock()
 	s.logf("job %s: %s (attempt %d)", shortKey(j.Key), res.State, res.Attempts)
 }
 

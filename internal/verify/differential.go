@@ -55,8 +55,6 @@ type Options struct {
 	// deadlines. Negative disables deadlines entirely; 0 selects the
 	// default of 0.2.
 	Alpha float64
-	// Objectives to cross-check. Default OBJ-DMAT and OBJ-DEL.
-	Objectives []dma.Objective
 }
 
 func (o Options) fill() Options {
@@ -74,9 +72,6 @@ func (o Options) fill() Options {
 	}
 	if o.Alpha == 0 {
 		o.Alpha = 0.2
-	}
-	if len(o.Objectives) == 0 {
-		o.Objectives = []dma.Objective{dma.MinTransfers, dma.MinDelayRatio}
 	}
 	return o
 }
@@ -107,7 +102,8 @@ func (r *Report) ran(path string) {
 // scenario: the analysis-level oracle, the combinatorial solver, the
 // MILP and brute-force enumeration where tractable — every produced
 // solution re-checked by the oracle, every pair of exact solvers
-// compared on objective value and feasibility — and the discrete-event
+// compared on objective value and feasibility under OBJ-DMAT and OBJ-DEL
+// — and the discrete-event
 // simulator against the analytic latencies.
 func CheckScenario(sc *sysgen.Scenario, opts Options) *Report {
 	opts = opts.fill()
@@ -135,7 +131,7 @@ func CheckScenario(sc *sysgen.Scenario, opts Options) *Report {
 	gamma := deriveGamma(a, cm, opts.Alpha)
 
 	var simSched *dma.Schedule
-	for _, obj := range opts.Objectives {
+	for _, obj := range []dma.Objective{dma.MinTransfers, dma.MinDelayRatio} {
 		res := runSolvers(a, cm, gamma, obj, opts, rep)
 		rep.Violations.Merge(sc.Name, compareSolvers(sc, a, cm, obj, res))
 		if simSched == nil && res.comb != nil {

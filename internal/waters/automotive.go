@@ -72,7 +72,9 @@ func Automotive(rng *rand.Rand, opts AutomotiveOptions) *model.System {
 	for {
 		sys := model.NewSystem(opts.Cores)
 		tasks := make([]*model.Task, 0, opts.Tasks)
-		perCore := make(map[model.CoreID][]*model.Task)
+		// Indexed by core, so the utilization split below draws from rng
+		// in core order.
+		perCore := make([][]*model.Task, opts.Cores)
 		for i := 0; i < opts.Tasks; i++ {
 			w := rng.Intn(totalWeight)
 			var periodMs int64
