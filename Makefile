@@ -35,18 +35,19 @@ letvet:
 # and robustness-margin benchmarks against BENCH_sim.json. Deterministic
 # counter drift (lp_iters, nodes, warm_hits, replays) means the solver
 # trajectory or the margin search changed; `make bench-update` refreshes
-# both snapshots after an intentional change.
+# both snapshots after an intentional change. Both lanes record B/op and
+# allocs/op (-benchmem); those are reported, not gated.
 MILP_BENCH = BenchmarkWarmStartBnB|BenchmarkFastSearchBnB
 SIM_BENCH = BenchmarkRobustness|BenchmarkSimulator
 
 bench:
-	$(GO) test -run '^$$' -bench '$(MILP_BENCH)' -benchtime 1x -count 3 . | tee bench.txt
+	$(GO) test -run '^$$' -bench '$(MILP_BENCH)' -benchmem -benchtime 1x -count 3 . | tee bench.txt
 	$(GO) run ./cmd/benchjson -diff BENCH_milp.json bench.txt
 	$(GO) test -run '^$$' -bench '$(SIM_BENCH)' -benchmem -benchtime 3x -count 3 . | tee bench_sim.txt
 	$(GO) run ./cmd/benchjson -diff BENCH_sim.json bench_sim.txt
 
 bench-update:
-	$(GO) test -run '^$$' -bench '$(MILP_BENCH)' -benchtime 1x -count 3 . | tee bench.txt
+	$(GO) test -run '^$$' -bench '$(MILP_BENCH)' -benchmem -benchtime 1x -count 3 . | tee bench.txt
 	$(GO) run ./cmd/benchjson -o BENCH_milp.json bench.txt
 	$(GO) test -run '^$$' -bench '$(SIM_BENCH)' -benchmem -benchtime 3x -count 3 . | tee bench_sim.txt
 	$(GO) run ./cmd/benchjson -o BENCH_sim.json bench_sim.txt

@@ -7,11 +7,14 @@ import (
 )
 
 // Detrange flags `range` over a map whose loop body has order-dependent
-// effects, in the packages that build MILP models or schedules. Go map
-// iteration order is randomized per run, so any append, emission call, or
-// write to surrounding non-map state made under such a loop makes the
-// emitted column/row order — and hence the branch-and-bound trajectory and
-// reported solve times — differ between identical runs.
+// effects, in the packages that build MILP models, schedules or the systems
+// they are solved on. Go map iteration order is randomized per run, so any
+// append, emission call, write to surrounding non-map state, or draw from a
+// surrounding *rand.Rand made under such a loop makes the emitted
+// column/row order or the generated system — and hence the branch-and-bound
+// trajectory and reported solve times — differ between identical runs. A
+// draw is order-dependent because each one advances the generator: the
+// values a seeded source hands out land on the map's keys in map order.
 //
 // Compliant loops iterate a sorted key slice (e.g. ordered.Keys) instead;
 // loops whose per-iteration effects are genuinely commutative can carry a
@@ -19,7 +22,7 @@ import (
 var Detrange = &Analyzer{
 	Name:  "detrange",
 	Doc:   "flags order-dependent iteration over maps in solver/model-building packages",
-	Scope: scopeInternal("letopt", "combopt", "milp", "multidma", "experiments"),
+	Scope: scopeInternal("letopt", "combopt", "milp", "multidma", "experiments", "waters", "sysgen"),
 	Run:   runDetrange,
 }
 
@@ -48,8 +51,9 @@ func runDetrange(pass *Pass) error {
 
 // orderDependentEffect scans a map-range body for the first statement whose
 // outcome depends on iteration order: appends to or writes of surrounding
-// state, or emission-style method calls (Add*/Set*/Write*/...) on
-// surrounding receivers. Writes into surrounding *maps* are exempt — a
+// state, emission-style method calls (Add*/Set*/Write*/...) on surrounding
+// receivers, or calls that draw from a surrounding *rand.Rand (as the
+// receiver or as an argument). Writes into surrounding *maps* are exempt — a
 // keyed store commutes when the keys differ, and identical keys would be a
 // logic bug regardless of order.
 func orderDependentEffect(pass *Pass, body *ast.BlockStmt) (ast.Node, string) {
@@ -91,6 +95,11 @@ func orderDependentEffect(pass *Pass, body *ast.BlockStmt) (ast.Node, string) {
 				found, what = st, "update of "+id.Name
 				return false
 			}
+		case *ast.CallExpr:
+			if id := outerRandUse(pass, st, outer); id != nil {
+				found, what = st, "draw from "+id.Name
+				return false
+			}
 		case *ast.ExprStmt:
 			call, ok := st.X.(*ast.CallExpr)
 			if !ok {
@@ -111,6 +120,32 @@ func orderDependentEffect(pass *Pass, body *ast.BlockStmt) (ast.Node, string) {
 		return true
 	})
 	return found, what
+}
+
+// outerRandUse returns the surrounding *rand.Rand a call draws from — its
+// receiver, or one of its arguments handed to a helper — or nil.
+func outerRandUse(pass *Pass, call *ast.CallExpr, outer func(*ast.Ident) bool) *ast.Ident {
+	isRand := func(e ast.Expr) *ast.Ident {
+		id, ok := e.(*ast.Ident)
+		if !ok || !outer(id) {
+			return nil
+		}
+		if tv, ok := pass.TypesInfo.Types[e]; ok && namedAs(tv.Type, "rand", "Rand") {
+			return id
+		}
+		return nil
+	}
+	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+		if id := isRand(sel.X); id != nil {
+			return id
+		}
+	}
+	for _, arg := range call.Args {
+		if id := isRand(arg); id != nil {
+			return id
+		}
+	}
+	return nil
 }
 
 // emissionName matches method names that append to ordered structures:

@@ -2,7 +2,11 @@
 // range-over-map loops.
 package detrange
 
-import "sort"
+import (
+	"math"
+	"math/rand"
+	"sort"
+)
 
 type model struct {
 	names []string
@@ -74,5 +78,47 @@ func markAll(flags map[string]bool, marks []bool, idx map[string]int) {
 	//letvet:ordered
 	for name := range flags {
 		marks[idx[name]] = true
+	}
+}
+
+type task struct {
+	period, wcet float64
+}
+
+func powRand(rng *rand.Rand, exp float64) float64 { return math.Pow(rng.Float64(), exp) }
+
+// A per-core utilization split that ranges over a map of cores and draws
+// from the caller's generator: which core gets which draw depends on the
+// map order (the shape of an old waters.Automotive bug).
+func splitUtilization(rng *rand.Rand, perCore map[int][]*task, util float64) {
+	for _, ts := range perCore { // want "order-dependent effect \\(draw from rng\\)"
+		u := util
+		for i, t := range ts {
+			ui := u
+			if i < len(ts)-1 {
+				next := u * powRand(rng, 1/float64(len(ts)-1-i))
+				ui = u - next
+				u = next
+			}
+			t.wcet = ui * t.period
+		}
+	}
+}
+
+// A method draw in a condition is a draw too.
+func pickSome(rng *rand.Rand, names map[string]bool) {
+	for name := range names { // want "order-dependent effect \\(draw from rng\\)"
+		if rng.Intn(2) == 0 {
+			names[name] = false
+		}
+	}
+}
+
+// A generator seeded inside the loop body does not carry state from one
+// key to the next: allowed.
+func perKeySeed(seeds map[string]int64, out map[string]int) {
+	for name, seed := range seeds {
+		r := rand.New(rand.NewSource(seed))
+		out[name] = r.Intn(10)
 	}
 }

@@ -127,12 +127,12 @@ type Params struct {
 	// the initial incumbent.
 	WarmStart []float64
 	// DisableWarmStart selects the cold path: every node is solved by the
-	// two-phase simplex from the slack basis instead of warm from its
-	// parent's basis. Warm and cold solves agree on status and optimum but
-	// follow different trajectories (a warm solve may land on a different
-	// optimal vertex). verify.CheckOptimal uses the cold path as its
-	// reference oracle, so that its certificate never shares the warm LP
-	// path with the FastSearch result it checks.
+	// two-phase simplex from the all-artificial basis instead of warm from
+	// its parent's basis. Warm and cold solves agree on status and optimum
+	// but follow different trajectories (a warm solve may land on a
+	// different optimal vertex). verify.CheckOptimal uses the cold path as
+	// its reference oracle, so that its certificate never shares the warm
+	// LP path with the FastSearch result it checks.
 	DisableWarmStart bool
 	// BranchPriority, if non-nil, gives per-variable branching priorities
 	// (higher = branch earlier). Among fractional integer variables, the
@@ -189,14 +189,16 @@ type bbNode struct {
 }
 
 // searchState is the search context shared by the depth-first and the
-// FastSearch engines: the minimization form of the model, the root bounds
-// after presolve, the integer variable set, bound-rounding data and the
-// incumbent. atLimit, fathomed, solveNode and expand are the per-node
+// FastSearch engines: the LP template of the minimization form, the root
+// bounds after presolve, the integer variable set, bound-rounding data and
+// the incumbent. atLimit, fathomed, solveNode and expand are the per-node
 // steps both engines run; what stays per engine is the open-node
-// container, incumbent publication and the handling of an undecided LP.
+// container, the node-solve workspace (one for the depth-first engine, one
+// per FastSearch worker), incumbent publication and the handling of an
+// undecided LP.
 type searchState struct {
 	m         *Model
-	minM      *Model // minimization form of m (== m unless Maximize)
+	tpl       *lpTemplate // computational form of the minimization model
 	p         Params
 	start     time.Time
 	deadline  time.Time
@@ -251,19 +253,19 @@ func prepSearch(m *Model, p Params, start time.Time) (*searchState, *Solution, e
 		logf(p.Log, "warm start accepted, obj=%.6g\n", st.objSign*st.incObj)
 	}
 
-	// Minimization form, built once: solveLP and the warm solves are pure
-	// functions of it, so sharing one copy across nodes (and workers) is
-	// safe and keeps the per-node LP bit-identical to the historical
-	// per-call negation.
-	st.minM = m
+	// The LP template of the minimization form, built once: every node
+	// solve, on every FastSearch worker, reads it and brings only its own
+	// bounds.
+	minM := m
 	if m.ObjSense == Maximize {
 		neg := *m
 		neg.Obj = Expr{}
 		for _, t := range m.Obj.Terms {
 			neg.Obj.Terms = append(neg.Obj.Terms, Term{Var: t.Var, Coef: -t.Coef})
 		}
-		st.minM = &neg
+		minM = &neg
 	}
+	st.tpl = newTemplate(minM)
 	st.warm = !p.DisableWarmStart
 
 	for _, v := range m.Vars {
@@ -437,9 +439,9 @@ func (st *searchState) finish(openBound float64, nodes, iters int, hitLimit bool
 	logf(st.p.Log, "kernel: warm_attempts=%d warm_hits=%d warm_expands=%d cold_solves=%d cold_fallbacks=%d warm_iters=%d phase1_iters=%d phase1_saved=%d refactors=%d\n",
 		st.stats.WarmAttempts, st.stats.WarmHits, st.stats.WarmExpands, st.stats.ColdSolves, st.stats.ColdFallbacks,
 		st.stats.WarmIters, st.stats.Phase1Iters, st.stats.Phase1ItersSaved, st.stats.Refactorizations)
-	logf(st.p.Log, "kernel/lu: ftran=%d ftran_nnz=%d btran=%d btran_nnz=%d etas=%d eta_nnz=%d lu_nnz=%d\n",
+	logf(st.p.Log, "kernel/lu: ftran=%d ftran_nnz=%d btran=%d btran_nnz=%d etas=%d eta_nnz=%d lu_nnz=%d singular=%d\n",
 		st.stats.FtranSolves, st.stats.FtranNnz, st.stats.BtranSolves, st.stats.BtranNnz,
-		st.stats.EtaUpdates, st.stats.EtaNnz, st.stats.LuNnz)
+		st.stats.EtaUpdates, st.stats.EtaNnz, st.stats.LuNnz, st.stats.SingularRefactors)
 	return sol
 }
 
@@ -449,6 +451,12 @@ func Solve(m *Model, p Params) (*Solution, error) {
 	if p.FastSearch {
 		return solveFast(m, p)
 	}
+	return solveDFS(m, p, new(simplexState))
+}
+
+// solveDFS is the deterministic depth-first engine. Every node solve runs
+// in the one workspace ws.
+func solveDFS(m *Model, p Params, ws *simplexState) (*Solution, error) {
 	start := time.Now()
 	st, early, err := prepSearch(m, p, start)
 	if early != nil || err != nil {
@@ -488,7 +496,7 @@ func Solve(m *Model, p Params) (*Solution, error) {
 			continue
 		}
 
-		nr := st.solveNode(node, st.incObj)
+		nr := st.solveNode(ws, node, st.incObj)
 		st.stats.add(nr.stats)
 		res := nr.lpSolution
 		simplexIters += res.iters
@@ -537,12 +545,13 @@ func Solve(m *Model, p Params) (*Solution, error) {
 	return st.finish(ob, nodes, simplexIters, hitLimit), nil
 }
 
-// coldSolve runs the two-phase simplex from the slack basis on the prebuilt
-// minimization form, including the objective constant so that LP bounds and
-// incumbent objectives compare directly. It solves the root, every node when
-// warm starts are disabled, and every node the warm path hands back.
-func (st *searchState) coldSolve(lo, hi []float64) lpSolution {
-	res := solveLP(st.minM, lo, hi, st.deadline)
+// coldSolve runs the two-phase simplex from the all-artificial basis on the
+// search's template in workspace ws, including the objective constant so
+// that LP bounds and incumbent objectives compare directly. It solves the
+// root, every node when warm starts are disabled, and every node the warm
+// path hands back.
+func (st *searchState) coldSolve(ws *simplexState, lo, hi []float64) lpSolution {
+	res := ws.solveLP(st.tpl, lo, hi, st.deadline)
 	if res.status == lpOptimal {
 		res.obj += st.objOffset
 	}
@@ -562,14 +571,15 @@ type nodeResult struct {
 // parent basis it runs the warm solve (warmSolveLP), which fathoms the node
 // (lpCutoff or lpInfeasible), returns its true-cost LP optimum, or defers to
 // the cold path. The result is a pure function of (model, node bounds,
-// parent basis, incObj), so FastSearch workers may call it concurrently
-// with their published cutoff; the depth-first engine passes its incumbent.
-func (st *searchState) solveNode(node *bbNode, incObj float64) nodeResult {
+// parent basis, incObj) — the workspace ws only lends storage — so
+// FastSearch workers may call it concurrently, each with its own workspace
+// and their published cutoff; the depth-first engine passes its incumbent.
+func (st *searchState) solveNode(ws *simplexState, node *bbNode, incObj float64) nodeResult {
 	var nr nodeResult
 	warmIters := 0
 	if st.warm && node.pbasis != nil {
 		nr.stats.WarmAttempts++
-		sol, out := warmSolveLP(st.minM, node.lo, node.hi, node.pbasis,
+		sol, out := ws.warmSolveLP(st.tpl, node.lo, node.hi, node.pbasis,
 			incObj, st.intObjGCD, st.objOffset, warmIterLimit, st.deadline)
 		nr.stats.WarmIters += sol.iters
 		nr.stats.addCounters(sol.counters)
@@ -595,7 +605,7 @@ func (st *searchState) solveNode(node *bbNode, incObj float64) nodeResult {
 		nr.stats.ColdFallbacks++
 		warmIters = sol.iters
 	}
-	res := st.coldSolve(node.lo, node.hi)
+	res := st.coldSolve(ws, node.lo, node.hi)
 	nr.stats.ColdSolves++
 	nr.stats.Phase1Iters += res.phase1Iters
 	nr.stats.addCounters(res.counters)

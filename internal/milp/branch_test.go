@@ -351,7 +351,7 @@ func TestRandomLPRelaxationDominatesInteger(t *testing.T) {
 		for i, v := range m.Vars {
 			lo[i], hi[i] = v.Lo, v.Hi
 		}
-		res := solveLP(m, lo, hi, time.Time{})
+		res := freshSolveLP(m, lo, hi, time.Time{})
 		if res.status != lpOptimal {
 			continue
 		}

@@ -119,12 +119,14 @@ func (d *fastDeque) drain() []*bbNode {
 	return out
 }
 
-// fastWorker is one worker's private accumulator, merged after the join.
-// Workers only ever touch their own slot, so the slice is race-free by
-// construction (the pre-indexed slot discipline).
+// fastWorker is one worker's private accumulator, merged after the join,
+// plus its node-solve workspace. Workers only ever touch their own slot,
+// so the slice is race-free by construction (the pre-indexed slot
+// discipline).
 type fastWorker struct {
 	stats KernelStats
 	iters int
+	lp    simplexState // the worker's node-solve workspace
 }
 
 // fastEngine is the shared state of one FastSearch solve.
@@ -256,7 +258,7 @@ func (e *fastEngine) process(id int, node *bbNode, ws *fastWorker) {
 	if fathomed(node, e.cutoff()) {
 		return
 	}
-	nr := st.solveNode(node, e.cutoff())
+	nr := st.solveNode(&ws.lp, node, e.cutoff())
 	ws.stats.add(nr.stats)
 	res := nr.lpSolution
 	ws.iters += res.iters

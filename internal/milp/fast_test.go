@@ -147,6 +147,26 @@ func TestFastSearchRaceStress(t *testing.T) {
 	}
 }
 
+// TestFastSearchWorkspaces runs FastSearch at 4 workers over the corpus and
+// a tie-heavy instance. Every worker solves its nodes in its own workspace
+// against the one LP template the search shares, so under `go test -race`
+// this catches a write to the template or a workspace used by two workers.
+// It also holds each result to the deterministic optimum.
+func TestFastSearchWorkspaces(t *testing.T) {
+	models := []*milp.Model{symmetricTieModel(3, 6)}
+	for _, c := range milptest.Corpus() {
+		models = append(models, c.M)
+	}
+	for i, m := range models {
+		ref := detReference(t, m)
+		fast, err := milp.Solve(m, milp.Params{FastSearch: true, Workers: 4, TimeLimit: 30 * time.Second})
+		if err != nil {
+			t.Fatalf("model %d: %v", i, err)
+		}
+		requireSameOptimum(t, fmt.Sprintf("model %d", i), m, ref, fast)
+	}
+}
+
 // TestFastSearchEdgeCases covers the engine's terminal paths: unbounded
 // relaxations, infeasible boxes, pure LPs, warm-start pruning, node limits
 // with an anytime incumbent, and gap-tolerance early stops.

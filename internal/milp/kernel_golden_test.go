@@ -7,6 +7,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -169,5 +171,51 @@ func TestFastSearchKernelGolden(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWorkspaceReuse solves the corpus back to back through one depth-first
+// workspace, alternating between the instances with the fewest and the
+// most rows so that the workspace shrinks and grows between solves. Every
+// Solution (wall-clock Runtime scrubbed) must be DeepEqual to the same
+// solve in a fresh workspace: nothing a solve leaves behind may reach the
+// next one.
+func TestWorkspaceReuse(t *testing.T) {
+	corpus := milptest.Corpus()
+	byRows := make([]int, len(corpus))
+	for i := range byRows {
+		byRows[i] = i
+	}
+	sort.SliceStable(byRows, func(a, b int) bool {
+		return len(corpus[byRows[a]].M.Cons) < len(corpus[byRows[b]].M.Cons)
+	})
+	var order []int
+	for lo, hi := 0, len(byRows)-1; lo <= hi; lo, hi = lo+1, hi-1 {
+		order = append(order, byRows[lo])
+		if lo != hi {
+			order = append(order, byRows[hi])
+		}
+	}
+	if first, last := len(corpus[order[0]].M.Cons), len(corpus[order[1]].M.Cons); first == last {
+		t.Fatalf("corpus row counts do not vary (%d): the interleaving tests nothing", first)
+	}
+
+	ws := new(milp.Workspace)
+	params := milp.Params{TimeLimit: 30 * time.Second}
+	for _, i := range order {
+		c := corpus[i]
+		fresh, err := milp.Solve(c.M, params)
+		if err != nil {
+			t.Fatalf("%s: %v", c.Name, err)
+		}
+		reused, err := milp.SolveDFSWith(c.M, params, ws)
+		if err != nil {
+			t.Fatalf("%s: %v", c.Name, err)
+		}
+		fresh.Runtime, reused.Runtime = 0, 0
+		if !reflect.DeepEqual(fresh, reused) {
+			t.Errorf("%s (%d rows): reused workspace gave\n%+v\nfresh workspace gave\n%+v",
+				c.Name, len(c.M.Cons), reused, fresh)
+		}
 	}
 }

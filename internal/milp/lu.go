@@ -1,8 +1,9 @@
 package milp
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // This file implements the sparse linear algebra under the revised simplex:
@@ -14,11 +15,11 @@ import (
 // appends one sparse eta instead of sweeping every row of the inverse.
 //
 // Determinism is load-bearing (see DESIGN.md §7): every loop below runs in
-// a fixed order — columns are factorized in a stable nnz-ascending order,
-// elimination reach sets are sorted, eta entries are gathered in ascending
-// row order — so the floating-point result of every solve is a pure
-// function of the basis and the matrix, independent of workers, schedules
-// and map iteration order.
+// a fixed order — columns are factorized in a stable nnz-ascending order
+// (a counting sort), elimination reach sets are sorted by a strict total
+// order, eta entries are gathered in ascending row order — so the
+// floating-point result of every solve is a pure function of the basis and
+// the matrix, independent of workers, schedules and map iteration order.
 
 // luEntry is one (index, value) pair of a sparse factor row/column.
 type luEntry struct {
@@ -53,7 +54,43 @@ type luFactor struct {
 	visited []int32   // epoch stamps for the reach DFS
 	epoch   int32
 	order   []int32 // stable nnz-ascending column order
+	nnzCnt  []int32 // counting-sort buckets of the column order
 	steps   []float64
+}
+
+// reset sizes the factor for m rows and clears it to the state of a
+// freshly allocated factor; only the capacity of its arrays (the entry
+// lists included) carries over.
+func (f *luFactor) reset(m int) {
+	f.m = m
+	f.prow = zeroed(f.prow, m)
+	f.pcol = zeroed(f.pcol, m)
+	f.udiag = zeroed(f.udiag, m)
+	f.lops = emptyLists(f.lops, m)
+	f.urows = emptyLists(f.urows, m)
+	f.ucols = emptyLists(f.ucols, m)
+	f.rowStep = zeroed(f.rowStep, m)
+	f.xwork = zeroed(f.xwork, m)
+	f.stack = f.stack[:0]
+	f.reach = f.reach[:0]
+	f.visited = zeroed(f.visited, m)
+	f.epoch = 0
+	f.order = zeroed(f.order, m)
+	f.nnzCnt = f.nnzCnt[:0]
+	f.steps = zeroed(f.steps, m)
+}
+
+// emptyLists returns ls resized to m empty entry lists, keeping the
+// capacity of every list it already had.
+func emptyLists(ls [][]luEntry, m int) [][]luEntry {
+	if cap(ls) < m {
+		ls = append(ls[:cap(ls)], make([][]luEntry, m-cap(ls))...)
+	}
+	ls = ls[:m]
+	for k := range ls {
+		ls[k] = ls[k][:0]
+	}
+	return ls
 }
 
 // nnz returns the stored entry count of the factors (multipliers, diagonal
@@ -72,24 +109,9 @@ func (f *luFactor) nnz() int {
 // column), in which case the factor must not be used.
 func (f *luFactor) factorize(cols []sparseCol, basis []int) error {
 	m := f.m
-	if cap(f.prow) < m {
-		f.prow = make([]int32, m)
-		f.pcol = make([]int32, m)
-		f.udiag = make([]float64, m)
-		f.lops = make([][]luEntry, m)
-		f.urows = make([][]luEntry, m)
-		f.ucols = make([][]luEntry, m)
-		f.rowStep = make([]int32, m)
-		f.xwork = make([]float64, m)
-		f.visited = make([]int32, m)
-		f.order = make([]int32, m)
+	if len(f.prow) != m {
+		f.reset(m)
 	}
-	f.prow = f.prow[:m]
-	f.pcol = f.pcol[:m]
-	f.udiag = f.udiag[:m]
-	f.lops = f.lops[:m]
-	f.urows = f.urows[:m]
-	f.ucols = f.ucols[:m]
 	for k := 0; k < m; k++ {
 		f.lops[k] = f.lops[k][:0]
 		f.urows[k] = f.urows[k][:0]
@@ -100,14 +122,26 @@ func (f *luFactor) factorize(cols []sparseCol, basis []int) error {
 
 	// Stable fill-reducing order: factorize sparse columns first. Slack and
 	// artificial singletons then pivot without creating any fill, which is
-	// the dominant structure of the LET-DMA bases.
-	f.order = f.order[:m]
-	for i := range f.order {
-		f.order[i] = int32(i)
+	// the dominant structure of the LET-DMA bases. A counting sort by
+	// column nnz that keeps position order within a count is exactly the
+	// stable sort's order.
+	maxNnz := 0
+	for _, j := range basis {
+		maxNnz = max(maxNnz, len(cols[j].rows))
 	}
-	sort.SliceStable(f.order, func(a, b int) bool {
-		return len(cols[basis[f.order[a]]].rows) < len(cols[basis[f.order[b]]].rows)
-	})
+	cnt := zeroed(f.nnzCnt, maxNnz+2)
+	f.nnzCnt = cnt
+	for _, j := range basis {
+		cnt[len(cols[j].rows)+1]++
+	}
+	for k := 1; k < len(cnt); k++ {
+		cnt[k] += cnt[k-1]
+	}
+	for pos, j := range basis {
+		nz := len(cols[j].rows)
+		f.order[cnt[nz]] = int32(pos)
+		cnt[nz]++
+	}
 
 	for t := 0; t < m; t++ {
 		pos := f.order[t]
@@ -140,18 +174,9 @@ func (f *luFactor) factorize(cols []sparseCol, basis []int) error {
 		// Ascending step order is a valid topological order of the
 		// elimination dependencies, and sorting keeps the numeric pass —
 		// and therefore its floating-point rounding — deterministic.
-		sort.Slice(f.reach, func(a, b int) bool {
-			ra, rb := f.reach[a], f.reach[b]
-			ka, kb := f.rowStep[ra], f.rowStep[rb]
-			switch {
-			case ka >= 0 && kb >= 0:
-				return ka < kb
-			case ka != kb && (ka < 0 || kb < 0):
-				return kb < 0 // pivotal rows first, non-pivotal after
-			default:
-				return ra < rb
-			}
-		})
+		// Rows are distinct and pivotal steps unique, so this is a strict
+		// total order and any sorting algorithm yields the same sequence.
+		slices.SortFunc(f.reach, f.reachOrder)
 
 		// Numeric: scatter the column, then apply the reached eliminations.
 		for i, r := range col.rows {
@@ -217,6 +242,22 @@ func (f *luFactor) factorize(cols []sparseCol, basis []int) error {
 	return nil
 }
 
+// reachOrder orders reached rows for the numeric pass: pivotal rows by
+// elimination step, then non-pivotal rows by row index.
+func (f *luFactor) reachOrder(ra, rb int32) int {
+	ka, kb := f.rowStep[ra], f.rowStep[rb]
+	switch {
+	case ka >= 0 && kb >= 0:
+		return cmp.Compare(ka, kb)
+	case ka >= 0:
+		return -1
+	case kb >= 0:
+		return 1
+	default:
+		return cmp.Compare(ra, rb)
+	}
+}
+
 // ftran solves B x = v in place (v indexed by row on entry, by basis
 // position on exit).
 func (f *luFactor) ftran(v []float64) {
@@ -229,9 +270,6 @@ func (f *luFactor) ftran(v []float64) {
 		for _, e := range f.lops[k] {
 			v[e.idx] -= e.val * pv
 		}
-	}
-	if cap(f.steps) < m {
-		f.steps = make([]float64, m)
 	}
 	xs := f.steps[:m]
 	for k := m - 1; k >= 0; k-- {
@@ -252,9 +290,6 @@ func (f *luFactor) ftran(v []float64) {
 // row on exit).
 func (f *luFactor) btran(v []float64) {
 	m := f.m
-	if cap(f.steps) < m {
-		f.steps = make([]float64, m)
-	}
 	ts := f.steps[:m]
 	for j := 0; j < m; j++ {
 		s := v[f.pcol[j]]
@@ -299,6 +334,7 @@ type kernelCounters struct {
 	etaUpdates  int
 	etaNnz      int
 	luNnz       int // factor entries summed over refactorizations
+	singular    int // refactorizations rejected as singular
 }
 
 func (k *kernelCounters) add(o kernelCounters) {
@@ -310,6 +346,7 @@ func (k *kernelCounters) add(o kernelCounters) {
 	k.etaUpdates += o.etaUpdates
 	k.etaNnz += o.etaNnz
 	k.luNnz += o.luNnz
+	k.singular += o.singular
 }
 
 // basisRep is the simplex kernel's working basis representation: the LU
@@ -317,25 +354,34 @@ func (k *kernelCounters) add(o kernelCounters) {
 type basisRep struct {
 	lu   luFactor
 	etas []eta
-	// etaPool recycles eta entry slices across refactorizations.
+	// etaPool recycles eta entry slices across refactorizations and solves.
 	etaPool [][]luEntry
 	ctr     *kernelCounters
 }
 
-func newBasisRep(m int, ctr *kernelCounters) *basisRep {
-	b := &basisRep{ctr: ctr}
-	b.lu.m = m
-	return b
+// reset empties the representation for a solve with m rows that reports to
+// ctr: no factors, no etas, every eta entry slice back in the pool.
+func (b *basisRep) reset(m int, ctr *kernelCounters) {
+	b.recycleEtas()
+	b.lu.reset(m)
+	b.ctr = ctr
 }
 
-// factorize rebuilds the LU factors from the current basis and discards the
-// eta file.
-func (b *basisRep) factorize(cols []sparseCol, basis []int) error {
+// recycleEtas discards the eta file, returning its entry slices to the pool.
+func (b *basisRep) recycleEtas() {
 	for _, e := range b.etas {
 		b.etaPool = append(b.etaPool, e.ent[:0])
 	}
 	b.etas = b.etas[:0]
+}
+
+// factorize rebuilds the LU factors from the current basis and discards the
+// eta file. A singular basis is counted and reported; the factor must not
+// be used after it.
+func (b *basisRep) factorize(cols []sparseCol, basis []int) error {
+	b.recycleEtas()
 	if err := b.lu.factorize(cols, basis); err != nil {
+		b.ctr.singular++
 		return err
 	}
 	b.ctr.refactors++

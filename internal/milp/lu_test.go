@@ -191,6 +191,50 @@ func TestLUSingular(t *testing.T) {
 	}
 }
 
+// newBasisRep returns an empty basis representation for m rows that
+// reports to ctr.
+func newBasisRep(m int, ctr *kernelCounters) *basisRep {
+	b := &basisRep{}
+	b.reset(m, ctr)
+	return b
+}
+
+// TestSingularRefactorCounted: a refactorization that finds the basis
+// singular is counted as SingularRefactors, not as a refactorization. The
+// basis holds two columns of the same variable pattern (one a multiple of
+// the other) in a workspace that had a valid cold start.
+func TestSingularRefactorCounted(t *testing.T) {
+	m := NewModel()
+	x := m.AddContinuous("x", 0, 10)
+	y := m.AddContinuous("y", 0, 10)
+	m.AddLE("a", NewExpr(0).Add(x, 1).Add(y, 2), 8)
+	m.AddLE("b", NewExpr(0).Add(x, 2).Add(y, 4), 9)
+	m.SetObjective(Minimize, Sum(1, x, y))
+	lo, hi := rootBounds(m)
+	s := new(simplexState)
+	s.startCold(newTemplate(m), lo, hi)
+	if s.counters.refactors != 1 || s.counters.singular != 0 {
+		t.Fatalf("cold start: refactors=%d singular=%d, want 1 and 0", s.counters.refactors, s.counters.singular)
+	}
+	for i := range s.basis {
+		s.state[s.basis[i]] = stLower
+	}
+	s.basis[0], s.basis[1] = int(x), int(y)
+	s.state[x], s.state[y] = stBasic, stBasic
+	if err := s.refactorize(); err == nil {
+		t.Fatal("refactorize accepted a singular basis")
+	}
+	if s.counters.refactors != 1 || s.counters.singular != 1 {
+		t.Fatalf("after the singular basis: refactors=%d singular=%d, want 1 and 1", s.counters.refactors, s.counters.singular)
+	}
+	var k KernelStats
+	k.addCounters(s.counters)
+	k.add(k)
+	if k.Refactorizations != 2 || k.SingularRefactors != 2 {
+		t.Fatalf("KernelStats folding: refactorizations=%d singular=%d, want 2 and 2", k.Refactorizations, k.SingularRefactors)
+	}
+}
+
 // TestBasisRepEtaUpdates replaces basis columns one at a time through the
 // product-form eta file and checks every intermediate representation
 // against a fresh factorization of the updated basis.

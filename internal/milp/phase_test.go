@@ -31,10 +31,11 @@ func TestPhase1UnboundedSurfacedAsNumerical(t *testing.T) {
 	m.SetObjective(Minimize, Sum(1, x, y))
 
 	lo, hi := rootBounds(m)
-	p := buildLP(m, lo, hi)
-	s := newColdState(p)
+	p := newTemplate(m)
+	s := new(simplexState)
+	s.startCold(p, lo, hi)
 
-	cost := phase1CostVec(s)
+	cost := s.phase1CostVec()
 	for j := p.n; j < s.ncols; j++ {
 		cost[j] = -1
 	}
@@ -44,7 +45,7 @@ func TestPhase1UnboundedSurfacedAsNumerical(t *testing.T) {
 	}
 
 	// The true costs still solve cleanly end to end.
-	res := solveLP(m, lo, hi, time.Time{})
+	res := freshSolveLP(m, lo, hi, time.Time{})
 	if res.status != lpOptimal {
 		t.Fatalf("clean solve status %v, want optimal", res.status)
 	}
@@ -62,7 +63,7 @@ func TestDriveOutArtificials(t *testing.T) {
 	m.SetObjective(Minimize, NewExpr(0).Add(x, 1).Add(y, 2))
 
 	lo, hi := rootBounds(m)
-	res := solveLP(m, lo, hi, time.Time{})
+	res := freshSolveLP(m, lo, hi, time.Time{})
 	if res.status != lpOptimal {
 		t.Fatalf("status %v, want optimal", res.status)
 	}
@@ -89,7 +90,7 @@ func TestDriveOutArtificials(t *testing.T) {
 // requires the warm path to settle it (no fallback) at the cold optimum.
 func warmRoundTrip(t *testing.T, m *Model, lo, hi []float64, cold lpSolution) {
 	t.Helper()
-	warm, out := warmSolveLP(m, lo, hi, cold.basis, math.Inf(1), 0, 0, 300, time.Time{})
+	warm, out := freshWarmSolveLP(m, lo, hi, cold.basis, math.Inf(1), 0, 0, 300, time.Time{})
 	if out != probeOpen || warm.status != lpOptimal {
 		t.Fatalf("warm solve outcome %v status %v, want probeOpen/optimal", out, warm.status)
 	}
@@ -115,7 +116,7 @@ func TestDriveOutRedundantEQ(t *testing.T) {
 	m.SetObjective(Minimize, NewExpr(0).Add(x, 3).Add(y, 1))
 
 	lo, hi := rootBounds(m)
-	res := solveLP(m, lo, hi, time.Time{})
+	res := freshSolveLP(m, lo, hi, time.Time{})
 	if res.status != lpOptimal {
 		t.Fatalf("status %v, want optimal", res.status)
 	}

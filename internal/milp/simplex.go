@@ -51,17 +51,30 @@ type sparseCol struct {
 	vals []float64
 }
 
-// lpProblem is the computational form: min c'x s.t. Ax = b, lo <= x <= hi,
-// where columns 0..nStruct-1 are the model variables, then one slack per
-// inequality row, then one artificial per row (phase 1 only).
-type lpProblem struct {
+// lpTemplate is the computational form of one search's minimization model:
+// min c'x s.t. Ax = b, lo <= x <= hi, where columns 0..nStruct-1 are the
+// model variables, then one slack per row, then one artificial per row.
+// Everything in it depends on the model alone, so prepSearch builds it once
+// per search and every node solve, on every FastSearch worker, reads it
+// without copying or writing. A node solve brings only its variable bounds
+// and its artificial signs (see simplexState.reset).
+type lpTemplate struct {
 	m       int // rows
 	n       int // structural + slack columns (artificials live in [n, n+m))
 	nStruct int
-	cols    []sparseCol // length n + m (artificials appended)
+	cols    []sparseCol // structural then slack columns, length n
+	// art[0][i] and art[1][i] are row i's artificial column e_i with sign
+	// +1 and -1; a solve points its artificial columns at one of the two.
+	art     [2][]sparseCol
 	b       []float64
 	c       []float64 // phase-2 costs, length n+m (zero on artificials)
-	lo, hi  []float64 // length n+m
+	pcost   []float64 // perturbed pricing costs of warm solves, length n+m
+	slackLo []float64 // slack bounds: LE [0, inf), GE (-inf, 0], EQ [0, 0]
+	slackHi []float64
+	// rowwise is the row-major view of the structural and slack columns,
+	// used to gather B⁻¹-rows (pivot rows) sparsely. pivotRowAlpha adds
+	// each row's artificial term from the solve's sign vector.
+	rowwise [][]luEntry
 }
 
 // nonbasic variable states.
@@ -87,64 +100,98 @@ type lpSolution struct {
 	basis *Basis
 }
 
-// buildLP converts a model plus (possibly tightened) bounds into
-// computational form. The caller guarantees len(lo) == len(hi) ==
-// len(m.Vars).
-func buildLP(m *Model, lo, hi []float64) *lpProblem {
+// newTemplate builds the computational form of a minimization model.
+func newTemplate(m *Model) *lpTemplate {
 	nStruct := len(m.Vars)
 	rows := len(m.Cons)
-	p := &lpProblem{m: rows, nStruct: nStruct}
+	p := &lpTemplate{m: rows, n: nStruct + rows, nStruct: nStruct}
 
-	// Structural columns.
-	p.cols = make([]sparseCol, nStruct, nStruct+2*rows)
+	// Structural columns, then one slack column per row.
+	p.cols = make([]sparseCol, p.n)
 	for i, con := range m.Cons {
 		for _, t := range con.Terms {
 			p.cols[t.Var].rows = append(p.cols[t.Var].rows, i)
 			p.cols[t.Var].vals = append(p.cols[t.Var].vals, t.Coef)
 		}
 	}
-	p.lo = append(p.lo, lo...)
-	p.hi = append(p.hi, hi...)
-
-	// Slack columns: LE -> s in [0, inf); GE -> s in (-inf, 0]; EQ -> s = 0.
+	unitRows := make([]int, rows)
 	p.b = make([]float64, rows)
+	p.slackLo = make([]float64, rows)
+	p.slackHi = make([]float64, rows)
 	for i, con := range m.Cons {
+		unitRows[i] = i
 		p.b[i] = con.RHS
-		col := sparseCol{rows: []int{i}, vals: []float64{1}}
-		p.cols = append(p.cols, col)
 		switch con.Sense {
 		case LE:
-			p.lo = append(p.lo, 0)
-			p.hi = append(p.hi, Inf)
+			p.slackHi[i] = Inf
 		case GE:
-			p.lo = append(p.lo, math.Inf(-1))
-			p.hi = append(p.hi, 0)
-		default:
-			p.lo = append(p.lo, 0)
-			p.hi = append(p.hi, 0)
+			p.slackLo[i] = math.Inf(-1)
 		}
 	}
-	p.n = len(p.cols)
+	one := []float64{1, -1}
+	for i := 0; i < rows; i++ {
+		p.cols[nStruct+i] = sparseCol{rows: unitRows[i : i+1 : i+1], vals: one[0:1:1]}
+	}
+	for k := range p.art {
+		p.art[k] = make([]sparseCol, rows)
+		for i := range p.art[k] {
+			p.art[k][i] = sparseCol{rows: unitRows[i : i+1 : i+1], vals: one[k : k+1 : k+1]}
+		}
+	}
 
 	// Phase-2 costs (minimization is handled by the caller).
 	p.c = make([]float64, p.n+rows)
 	for _, t := range m.Obj.Terms {
 		p.c[t.Var] += t.Coef
 	}
+	// Warm solves price on deterministically perturbed costs: the LPs here
+	// are massively dual-degenerate (many zero reduced costs), and an
+	// unperturbed dual simplex cycles through zero-ratio pivots without
+	// ever moving the bound. Distinct tiny cost offsets make the dual
+	// ratios generically nonzero, so every pivot strictly improves the
+	// perturbed dual — the standard anti-degeneracy cure. Soundness is
+	// untouched: the fathoming certificates (certLowerBound,
+	// certInfeasible) evaluate the TRUE costs for whatever multipliers the
+	// perturbed pricing produces, and they are valid for any multiplier
+	// vector. The perturbation only makes the certified bound lag by
+	// roughly the perturbation mass over the box.
+	p.pcost = make([]float64, len(p.c))
+	for j := range p.pcost {
+		h := uint32(j+1) * 2654435761 // Knuth multiplicative hash, j-dependent
+		frac := float64(h>>20) / float64(1<<12)
+		p.pcost[j] = p.c[j] + 1e-10*(1+math.Abs(p.c[j]))*(1+frac)
+	}
+
+	p.rowwise = make([][]luEntry, rows)
+	for j, col := range p.cols {
+		for k, row := range col.rows {
+			p.rowwise[row] = append(p.rowwise[row], luEntry{int32(j), col.vals[k]})
+		}
+	}
 	return p
 }
 
-// simplexState carries the working state of the revised simplex.
+// simplexState is the working state of the revised simplex and, at the
+// same time, the workspace that node solves reuse: one per depth-first
+// search, one per FastSearch worker. Every solve starts with reset, which
+// leaves it indistinguishable from a freshly allocated state and keeps only
+// the capacity of its arrays, so a solve's arithmetic never depends on what
+// the workspace solved before.
 type simplexState struct {
-	p     *lpProblem
-	rep   *basisRep // sparse LU + eta-file basis representation
-	basis []int     // basic variable per row
-	state []int8    // per column
-	xval  []float64 // current value per column (basic and nonbasic)
-	ncols int       // total columns including artificials
-	// rowwise is the row-major view of the full column set (artificials
-	// included), used to gather B⁻¹-rows (pivot rows) sparsely.
-	rowwise [][]luEntry
+	p *lpTemplate
+	// cols is the solve's full column set: the template's structural and
+	// slack columns, then one artificial column per row pointing at the
+	// template's shared column of sign artSign[i]. The first p.n entries
+	// are copied once per template (colsOf), not per solve.
+	cols    []sparseCol
+	colsOf  *lpTemplate
+	artSign []float64
+	lo, hi  []float64 // the solve's bounds, length ncols
+	rep     basisRep  // sparse LU + eta-file basis representation
+	basis   []int     // basic variable per row
+	state   []int8    // per column
+	xval    []float64 // current value per column (basic and nonbasic)
+	ncols   int       // total columns including artificials
 	// counters accumulates the solve's linear-algebra activity.
 	counters kernelCounters
 	// devex pricing state: reference-framework weights per column plus the
@@ -157,60 +204,97 @@ type simplexState struct {
 	amark    []int32
 	aepoch   int32
 	atouched []int32
-	// certLo/certHi cache the certificate box (see certBox in warm.go).
-	certLo, certHi []float64
-	// pcost, when non-nil, replaces p.c for dual-simplex pricing in warm
-	// solves: costs with a tiny deterministic perturbation that breaks dual
-	// degeneracy (see newWarmState). Certificates always evaluate the true
-	// p.c.
-	pcost []float64
+	// Dense row-length scratch: duals y, FTRAN direction w, B⁻¹-row rho
+	// (iterate, dualFathom, driveOutArtificials) and the refactorization
+	// right-hand side rhs, plus the phase-1 cost vector.
+	y, w, rho, rhs []float64
+	p1cost         []float64
+	// certLo/certHi cache the certificate box (see certBox in warm.go)
+	// once certOK is set; the fin*/inf* slices are its row scratch.
+	certLo, certHi         []float64
+	certOK                 bool
+	finMin, finMax, finAbs []float64
+	infMin, infMax         []int
 }
 
-// newSimplexState allocates the working state for a problem whose
-// artificial columns have already been appended to p.cols.
-func newSimplexState(p *lpProblem) *simplexState {
-	s := &simplexState{p: p, ncols: p.n + p.m}
-	s.state = make([]int8, s.ncols)
-	s.xval = make([]float64, s.ncols)
-	s.basis = make([]int, p.m)
-	s.rep = newBasisRep(p.m, &s.counters)
-	s.dwt = make([]float64, s.ncols)
-	s.alpha = make([]float64, s.ncols)
-	s.amark = make([]int32, s.ncols)
-	s.atouched = make([]int32, 0, 64)
-	return s
-}
-
-// buildRowwise constructs the row-major matrix view. It must be called
-// after the artificial columns are in place.
-func (s *simplexState) buildRowwise() {
-	p := s.p
-	s.rowwise = make([][]luEntry, p.m)
-	for j := 0; j < s.ncols; j++ {
-		for k, row := range p.cols[j].rows {
-			s.rowwise[row] = append(s.rowwise[row], luEntry{int32(j), p.cols[j].vals[k]})
-		}
+// reset prepares the workspace for one solve on template p with the given
+// structural bounds: every per-solve array is sized to p's shape and
+// zeroed, the LU factor and eta file are emptied, and the bounds are the
+// structural lo/hi, the template's slack bounds and [0, artHi] on the
+// artificials.
+func (s *simplexState) reset(p *lpTemplate, lo, hi []float64, artHi float64) {
+	s.p = p
+	s.ncols = p.n + p.m
+	if s.colsOf != p {
+		s.cols = append(append(s.cols[:0], p.cols...), p.art[0]...)
+		s.colsOf = p
 	}
+	s.artSign = zeroed(s.artSign, p.m)
+	s.lo = zeroed(s.lo, s.ncols)
+	s.hi = zeroed(s.hi, s.ncols)
+	copy(s.lo, lo)
+	copy(s.hi, hi)
+	copy(s.lo[p.nStruct:], p.slackLo)
+	copy(s.hi[p.nStruct:], p.slackHi)
+	for j := p.n; j < s.ncols; j++ {
+		s.hi[j] = artHi
+	}
+	s.counters = kernelCounters{}
+	s.rep.reset(p.m, &s.counters)
+	s.basis = zeroed(s.basis, p.m)
+	s.state = zeroed(s.state, s.ncols)
+	s.xval = zeroed(s.xval, s.ncols)
+	s.dwt = zeroed(s.dwt, s.ncols)
+	s.priceCursor = 0
+	s.alpha = zeroed(s.alpha, s.ncols)
+	s.amark = zeroed(s.amark, s.ncols)
+	s.aepoch = 0
+	s.atouched = s.atouched[:0]
+	s.y = zeroed(s.y, p.m)
+	s.w = zeroed(s.w, p.m)
+	s.rho = zeroed(s.rho, p.m)
+	s.rhs = zeroed(s.rhs, p.m)
+	s.p1cost = zeroed(s.p1cost, s.ncols)
+	s.certOK = false
 }
 
-// solveLP runs the two-phase bounded simplex. deadline may be the zero time
-// for no limit.
-func solveLP(m *Model, lo, hi []float64, deadline time.Time) lpSolution {
-	p := buildLP(m, lo, hi)
+// setArtificial points row i's artificial column at the template's shared
+// unit column of the given sign.
+func (s *simplexState) setArtificial(i int, sign float64) {
+	s.artSign[i] = sign
+	k := 0
+	if sign < 0 {
+		k = 1
+	}
+	s.cols[s.p.n+i] = s.p.art[k][i]
+}
 
+// zeroed returns v resized to n zero elements, reusing its capacity.
+func zeroed[T any](v []T, n int) []T {
+	if cap(v) < n {
+		return make([]T, n)
+	}
+	v = v[:n]
+	clear(v)
+	return v
+}
+
+// solveLP runs the two-phase bounded simplex on template p with structural
+// bounds lo/hi. deadline may be the zero time for no limit.
+func (s *simplexState) solveLP(p *lpTemplate, lo, hi []float64, deadline time.Time) lpSolution {
 	// Quick bound sanity: lo > hi means infeasible.
-	for j := 0; j < p.n; j++ {
-		if p.lo[j] > p.hi[j]+feasTol {
+	for j := 0; j < p.nStruct; j++ {
+		if lo[j] > hi[j]+feasTol {
 			return lpSolution{status: lpInfeasible}
 		}
 	}
 
-	s := newColdState(p)
+	s.startCold(p, lo, hi)
 
 	totalIters := 0
 
 	// Phase 1.
-	st, it := s.phase1(phase1CostVec(s), deadline)
+	st, it := s.phase1(s.phase1CostVec(), deadline)
 	totalIters += it
 	phase1Iters := it
 	done := func(status lpStatus) lpSolution {
@@ -223,7 +307,7 @@ func solveLP(m *Model, lo, hi []float64, deadline time.Time) lpSolution {
 	// artificials to zero for phase 2.
 	s.driveOutArtificials()
 	for j := p.n; j < s.ncols; j++ {
-		p.lo[j], p.hi[j] = 0, 0
+		s.lo[j], s.hi[j] = 0, 0
 		if s.state[j] != stBasic {
 			s.state[j] = stLower
 			s.xval[j] = 0
@@ -257,27 +341,27 @@ func solveLP(m *Model, lo, hi []float64, deadline time.Time) lpSolution {
 	return sol
 }
 
-// newColdState builds the cold-start simplex state for a freshly built
-// problem: nonbasic structural/slack columns at their nearest finite bound,
-// one artificial per row covering the residual, identity-like LU basis.
-func newColdState(p *lpProblem) *simplexState {
-	s := newSimplexState(p)
+// startCold sets up the cold-start state: nonbasic structural/slack
+// columns at their nearest finite bound, one artificial per row covering
+// the residual, and the all-artificial (diagonal) LU basis.
+func (s *simplexState) startCold(p *lpTemplate, lo, hi []float64) {
+	s.reset(p, lo, hi, Inf)
 
 	// Nonbasic starting point: finite lower bound, else finite upper bound,
 	// else 0 (free).
 	for j := 0; j < p.n; j++ {
 		switch {
-		case !math.IsInf(p.lo[j], -1):
-			s.state[j], s.xval[j] = stLower, p.lo[j]
-		case !math.IsInf(p.hi[j], 1):
-			s.state[j], s.xval[j] = stUpper, p.hi[j]
+		case !math.IsInf(s.lo[j], -1):
+			s.state[j], s.xval[j] = stLower, s.lo[j]
+		case !math.IsInf(s.hi[j], 1):
+			s.state[j], s.xval[j] = stUpper, s.hi[j]
 		default:
 			s.state[j], s.xval[j] = stFree, 0
 		}
 	}
 
 	// Residual r = b - A*xN determines the artificial columns.
-	r := make([]float64, p.m)
+	r := s.rhs
 	copy(r, p.b)
 	for j := 0; j < p.n; j++ {
 		if s.xval[j] == 0 {
@@ -293,19 +377,15 @@ func newColdState(p *lpProblem) *simplexState {
 			sign = -1.0
 		}
 		art := p.n + i
-		p.cols = append(p.cols, sparseCol{rows: []int{i}, vals: []float64{sign}})
-		p.lo = append(p.lo, 0)
-		p.hi = append(p.hi, Inf)
+		s.setArtificial(i, sign)
 		s.basis[i] = art
 		s.state[art] = stBasic
 		s.xval[art] = math.Abs(r[i])
 	}
-	s.buildRowwise()
 	// The all-artificial basis is diagonal; factorization cannot fail.
-	if err := s.rep.factorize(p.cols, s.basis); err != nil {
+	if err := s.rep.factorize(s.cols, s.basis); err != nil {
 		panic("milp: diagonal artificial basis failed to factorize: " + err.Error())
 	}
-	return s
 }
 
 // phase1 runs phase-1 iterations with the given cost vector and maps the
@@ -313,6 +393,12 @@ func newColdState(p *lpProblem) *simplexState {
 // for phase 2. The cost vector is a parameter so tests can inject a
 // corrupted one and exercise the lpNumerical guard, which is unreachable
 // with the true phase-1 costs in exact arithmetic.
+//
+// iterate also reports lpInfeasible when one of its refactorizations finds
+// the basis singular. phase1 does not tell that case apart: it sums the
+// basic artificials of the half-rebuilt representation like any other
+// outcome, so a singular refactorization can come out as lpOptimal. Such
+// events are counted in KernelStats.SingularRefactors.
 func (s *simplexState) phase1(cost []float64, deadline time.Time) (lpStatus, int) {
 	st, it := s.iterate(cost, deadline)
 	switch st {
@@ -338,9 +424,11 @@ func (s *simplexState) phase1(cost []float64, deadline time.Time) (lpStatus, int
 	return lpOptimal, it
 }
 
-// phase1CostVec returns the phase-1 cost vector (1 on every artificial).
-func phase1CostVec(s *simplexState) []float64 {
-	cost := make([]float64, s.ncols)
+// phase1CostVec returns the phase-1 cost vector (1 on every artificial),
+// held in the workspace.
+func (s *simplexState) phase1CostVec() []float64 {
+	cost := s.p1cost
+	clear(cost)
 	for j := s.p.n; j < s.ncols; j++ {
 		cost[j] = 1
 	}
@@ -362,7 +450,6 @@ func isFixed(lo, hi float64) bool {
 // In Bland mode the scan degenerates to first-eligible-index over the full
 // range, preserving the anti-cycling guarantee.
 func (s *simplexState) price(cost, y []float64, bland bool) (enter int, enterDir float64) {
-	p := s.p
 	enter = -1
 	if bland {
 		for j := 0; j < s.ncols; j++ {
@@ -403,7 +490,6 @@ func (s *simplexState) price(cost, y []float64, bland bool) (enter int, enterDir
 			s.priceCursor = 0
 		}
 	}
-	_ = p
 	return -1, 0
 }
 
@@ -412,17 +498,17 @@ func (s *simplexState) price(cost, y []float64, bland bool) (enter int, enterDir
 // direction dir improves the objective. ok is false for basic and fixed
 // columns.
 func (s *simplexState) reducedCost(cost, y []float64, j int) (d, dir float64, ok bool) {
-	p := s.p
 	stj := s.state[j]
 	if stj == stBasic {
 		return 0, 0, false
 	}
-	if isFixed(p.lo[j], p.hi[j]) && stj != stFree {
+	if isFixed(s.lo[j], s.hi[j]) && stj != stFree {
 		return 0, 0, false // fixed variable can never improve
 	}
 	d = cost[j]
-	for k, row := range p.cols[j].rows {
-		d -= y[row] * p.cols[j].vals[k]
+	col := &s.cols[j]
+	for k, row := range col.rows {
+		d -= y[row] * col.vals[k]
 	}
 	switch stj {
 	case stLower:
@@ -447,12 +533,13 @@ func (s *simplexState) pivotRowAlpha(r int, rho []float64) []int32 {
 	s.rep.btran(rho)
 	s.aepoch++
 	s.atouched = s.atouched[:0]
-	for i := 0; i < s.p.m; i++ {
+	p := s.p
+	for i := 0; i < p.m; i++ {
 		ri := rho[i]
 		if ri == 0 {
 			continue
 		}
-		for _, e := range s.rowwise[i] {
+		for _, e := range p.rowwise[i] {
 			if s.amark[e.idx] != s.aepoch {
 				s.amark[e.idx] = s.aepoch
 				s.alpha[e.idx] = 0
@@ -460,6 +547,13 @@ func (s *simplexState) pivotRowAlpha(r int, rho []float64) []int32 {
 			}
 			s.alpha[e.idx] += ri * e.val
 		}
+		// Row i's artificial has its single entry in row i and the highest
+		// column index of the row, so it is gathered last, in column order
+		// like the template entries.
+		art := int32(p.n + i)
+		s.amark[art] = s.aepoch
+		s.alpha[art] = ri * s.artSign[i]
+		s.atouched = append(s.atouched, art)
 	}
 	return s.atouched
 }
@@ -504,9 +598,7 @@ func (s *simplexState) updateDevex(r, enter, leaving int, rho []float64) {
 // basis representation.
 func (s *simplexState) iterate(cost []float64, deadline time.Time) (lpStatus, int) {
 	p := s.p
-	y := make([]float64, p.m)
-	w := make([]float64, p.m)
-	rho := make([]float64, p.m)
+	y, w, rho := s.y, s.w, s.rho
 	iters := 0
 	sinceRefactor := 0
 	// Fresh pricing frame per phase: all weights 1, cursor at the start.
@@ -536,16 +628,16 @@ func (s *simplexState) iterate(cost []float64, deadline time.Time) (lpStatus, in
 		for i := range w {
 			w[i] = 0
 		}
-		for k, row := range p.cols[enter].rows {
-			w[row] = p.cols[enter].vals[k]
+		for k, row := range s.cols[enter].rows {
+			w[row] = s.cols[enter].vals[k]
 		}
 		s.rep.ftran(w)
 
 		// Ratio test. The entering variable moves by delta >= 0 in
 		// direction enterDir; basic variable i changes by -enterDir*w[i]*delta.
 		delta := math.Inf(1)
-		if !math.IsInf(p.lo[enter], -1) && !math.IsInf(p.hi[enter], 1) {
-			delta = p.hi[enter] - p.lo[enter]
+		if !math.IsInf(s.lo[enter], -1) && !math.IsInf(s.hi[enter], 1) {
+			delta = s.hi[enter] - s.lo[enter]
 		}
 		leave := -1 // row index of leaving variable; -1 = bound flip
 		leaveAt := int8(stLower)
@@ -561,16 +653,16 @@ func (s *simplexState) iterate(cost []float64, deadline time.Time) (lpStatus, in
 			var lim float64
 			var hitState int8
 			if step < 0 { // basic value decreases toward its lower bound
-				if math.IsInf(p.lo[bv], -1) {
+				if math.IsInf(s.lo[bv], -1) {
 					continue
 				}
-				lim = (s.xval[bv] - p.lo[bv]) / -step
+				lim = (s.xval[bv] - s.lo[bv]) / -step
 				hitState = stLower
 			} else { // increases toward its upper bound
-				if math.IsInf(p.hi[bv], 1) {
+				if math.IsInf(s.hi[bv], 1) {
 					continue
 				}
-				lim = (p.hi[bv] - s.xval[bv]) / step
+				lim = (s.hi[bv] - s.xval[bv]) / step
 				hitState = stUpper
 			}
 			if lim < -1e-12 {
@@ -612,9 +704,9 @@ func (s *simplexState) iterate(cost []float64, deadline time.Time) (lpStatus, in
 		bv := s.basis[leave]
 		s.state[bv] = leaveAt
 		if leaveAt == stLower {
-			s.xval[bv] = p.lo[bv]
+			s.xval[bv] = s.lo[bv]
 		} else {
-			s.xval[bv] = p.hi[bv]
+			s.xval[bv] = s.hi[bv]
 		}
 		s.basis[leave] = enter
 		s.state[enter] = stBasic
@@ -659,8 +751,7 @@ func (s *simplexState) iterate(cost []float64, deadline time.Time) (lpStatus, in
 // remaining representation of the redundant row.
 func (s *simplexState) driveOutArtificials() {
 	p := s.p
-	w := make([]float64, p.m)
-	rho := make([]float64, p.m)
+	w, rho := s.w, s.rho
 	drove := false
 	for i := 0; i < p.m; i++ {
 		if s.basis[i] < p.n {
@@ -724,17 +815,17 @@ func (s *simplexState) driveOutArtificials() {
 // the basic variable values x_B = B⁻¹(b - N x_N).
 func (s *simplexState) refactorize() error {
 	p := s.p
-	if err := s.rep.factorize(p.cols, s.basis); err != nil {
+	if err := s.rep.factorize(s.cols, s.basis); err != nil {
 		return err
 	}
-	rhs := make([]float64, p.m)
+	rhs := s.rhs
 	copy(rhs, p.b)
 	for j := 0; j < s.ncols; j++ {
 		if s.state[j] == stBasic || s.xval[j] == 0 {
 			continue
 		}
-		for k, row := range p.cols[j].rows {
-			rhs[row] -= p.cols[j].vals[k] * s.xval[j]
+		for k, row := range s.cols[j].rows {
+			rhs[row] -= s.cols[j].vals[k] * s.xval[j]
 		}
 	}
 	s.rep.ftran(rhs)

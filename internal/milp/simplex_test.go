@@ -24,13 +24,25 @@ func solveRelax(t *testing.T, m *Model) lpSolution {
 	return res
 }
 
+// freshSolveLP solves one LP on a freshly built template in a fresh
+// workspace.
+func freshSolveLP(m *Model, lo, hi []float64, deadline time.Time) lpSolution {
+	return new(simplexState).solveLP(newTemplate(m), lo, hi, deadline)
+}
+
+// freshWarmSolveLP is warmSolveLP on a freshly built template in a fresh
+// workspace.
+func freshWarmSolveLP(m *Model, lo, hi []float64, snap *Basis, incObj, gcdStep, objOffset float64, budget int, deadline time.Time) (lpSolution, probeOutcome) {
+	return new(simplexState).warmSolveLP(newTemplate(m), lo, hi, snap, incObj, gcdStep, objOffset, budget, deadline)
+}
+
 // solveLPmin solves the relaxation in minimization sense, including the
 // objective constant so that LP bounds and incumbent objectives compare
 // directly.
 func solveLPmin(m *Model, objSign float64, lo, hi []float64, deadline time.Time) lpSolution {
 	var res lpSolution
 	if objSign == 1 {
-		res = solveLP(m, lo, hi, deadline)
+		res = freshSolveLP(m, lo, hi, deadline)
 	} else {
 		// Negate the objective for maximization models.
 		neg := *m
@@ -38,7 +50,7 @@ func solveLPmin(m *Model, objSign float64, lo, hi []float64, deadline time.Time)
 		for _, t := range m.Obj.Terms {
 			neg.Obj.Terms = append(neg.Obj.Terms, Term{Var: t.Var, Coef: -t.Coef})
 		}
-		res = solveLP(&neg, lo, hi, deadline)
+		res = freshSolveLP(&neg, lo, hi, deadline)
 	}
 	if res.status == lpOptimal {
 		res.obj += objSign * m.Obj.Const

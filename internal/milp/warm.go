@@ -47,9 +47,9 @@ const (
 )
 
 // Basis is a snapshot of a simplex basis, used to warm-start the
-// dual-simplex solve of child nodes. Column indices follow the computational form built by
-// buildLP: structural variables first, then one slack per constraint, then
-// one phase-1 artificial per constraint.
+// dual-simplex solve of child nodes. Column indices follow the computational
+// form of lpTemplate: structural variables first, then one slack per
+// constraint, then one phase-1 artificial per constraint.
 type Basis struct {
 	// Cols holds the basic column of each constraint row.
 	Cols []int32
@@ -76,7 +76,7 @@ func (s *simplexState) snapshotBasis() *Basis {
 	}
 	copy(b.States, s.state)
 	for i := 0; i < p.m; i++ {
-		if p.cols[p.n+i].vals[0] < 0 {
+		if s.artSign[i] < 0 {
 			b.ArtSign[i] = -1
 		} else {
 			b.ArtSign[i] = 1
@@ -127,6 +127,11 @@ type KernelStats struct {
 	// LuNnz accumulates the L+U nonzeros over all refactorizations: fill-in
 	// relative to the basis-matrix nonzeros measures factorization quality.
 	LuNnz int
+	// SingularRefactors counts refactorizations that found the basis
+	// numerically singular (no acceptable pivot in some column). They are
+	// not in Refactorizations. A nonzero count means some solve went on
+	// from, or fell back because of, a basis that a fresh LU rejects.
+	SingularRefactors int
 	// WarmExpands counts expanded nodes whose relaxation was solved to
 	// true-cost optimality directly from the parent basis (dual repair plus
 	// primal cleanup) instead of the cold two-phase path.
@@ -154,6 +159,7 @@ func (k *KernelStats) add(o KernelStats) {
 	k.EtaUpdates += o.EtaUpdates
 	k.EtaNnz += o.EtaNnz
 	k.LuNnz += o.LuNnz
+	k.SingularRefactors += o.SingularRefactors
 	k.WarmExpands += o.WarmExpands
 	k.Steals += o.Steals
 }
@@ -168,6 +174,7 @@ func (k *KernelStats) addCounters(c kernelCounters) {
 	k.EtaUpdates += c.etaUpdates
 	k.EtaNnz += c.etaNnz
 	k.LuNnz += c.luNnz
+	k.SingularRefactors += c.singular
 }
 
 // probeOutcome is the verdict of one warm solve.
@@ -188,26 +195,21 @@ const (
 	probeFallback
 )
 
-// newWarmState rebuilds the parent basis snapshot on an already-built child
-// problem: artificial columns pinned to zero with the snapshot's signs,
-// nonbasic values taken from the child's bounds, deterministically perturbed
-// pricing costs, and a fresh factorization. ok is false when the snapshot
-// does not fit the problem shape, a nonbasic state points at an infinite
-// bound, or the refactorization is singular; the returned state (nil only on
-// the shape mismatch) still carries its linear-algebra counters.
-func newWarmState(p *lpProblem, snap *Basis) (*simplexState, bool) {
-	if len(snap.Cols) != p.m || len(snap.States) != p.n+p.m || len(snap.ArtSign) != p.m {
-		return nil, false
-	}
+// startWarm rebuilds the parent basis snapshot on the child's bounds:
+// artificial columns pinned to zero with the snapshot's signs, nonbasic
+// values taken from the child's bounds, and a fresh factorization. Pricing
+// uses the template's perturbed costs (see newTemplate). It reports false
+// when a nonbasic state points at an infinite bound or the refactorization
+// is singular; the workspace still carries the solve's linear-algebra
+// counters. The caller has checked that the snapshot fits the template.
+func (s *simplexState) startWarm(p *lpTemplate, lo, hi []float64, snap *Basis) bool {
+	s.reset(p, lo, hi, 0)
 	for i := 0; i < p.m; i++ {
 		// Artificials are pinned to zero (the snapshot comes from a
 		// completed phase 2) but must carry the originating solve's sign so
 		// the basis matrix matches the snapshot.
-		p.cols = append(p.cols, sparseCol{rows: []int{i}, vals: []float64{float64(snap.ArtSign[i])}})
-		p.lo = append(p.lo, 0)
-		p.hi = append(p.hi, 0)
+		s.setArtificial(i, float64(snap.ArtSign[i]))
 	}
-	s := newSimplexState(p)
 	copy(s.state, snap.States)
 	for i := 0; i < p.m; i++ {
 		s.basis[i] = int(snap.Cols[i])
@@ -218,46 +220,26 @@ func newWarmState(p *lpProblem, snap *Basis) (*simplexState, bool) {
 	for j := 0; j < s.ncols; j++ {
 		switch s.state[j] {
 		case stLower:
-			if math.IsInf(p.lo[j], -1) {
-				return s, false
+			if math.IsInf(s.lo[j], -1) {
+				return false
 			}
-			s.xval[j] = p.lo[j]
+			s.xval[j] = s.lo[j]
 		case stUpper:
-			if math.IsInf(p.hi[j], 1) {
-				return s, false
+			if math.IsInf(s.hi[j], 1) {
+				return false
 			}
-			s.xval[j] = p.hi[j]
+			s.xval[j] = s.hi[j]
 		case stFree:
 			s.xval[j] = 0
 		}
 	}
-	// Price on deterministically perturbed costs: the LPs here are massively
-	// dual-degenerate (many zero reduced costs), and an unperturbed dual
-	// simplex cycles through zero-ratio pivots without ever moving the
-	// bound. Distinct tiny cost offsets make the dual ratios generically
-	// nonzero, so every pivot strictly improves the perturbed dual — the
-	// standard anti-degeneracy cure. Soundness is untouched: the fathoming
-	// certificates (certLowerBound, certInfeasible) evaluate the TRUE costs
-	// for whatever multipliers the perturbed pricing produces, and they are
-	// valid for any multiplier vector. The perturbation only makes the
-	// certified bound lag by roughly the perturbation mass over the box.
-	s.pcost = make([]float64, s.ncols)
-	for j := range s.pcost {
-		h := uint32(j+1) * 2654435761 // Knuth multiplicative hash, j-dependent
-		frac := float64(h>>20) / float64(1<<12)
-		s.pcost[j] = p.c[j] + 1e-10*(1+math.Abs(p.c[j]))*(1+frac)
-	}
-	s.buildRowwise()
-	if err := s.refactorize(); err != nil {
-		return s, false
-	}
-	return s, true
+	return s.refactorize() == nil
 }
 
-// warmSolveLP solves a child node's relaxation from the parent basis to a
-// reportable LP answer: the dual simplex repairs primal feasibility
-// (fathoming on the way against the cutoff incObj, with gcdStep and
-// objOffset mirroring the search's pruning arithmetic so a warm fathom
+// warmSolveLP solves a child node's relaxation on template p from the
+// parent basis to a reportable LP answer: the dual simplex repairs primal
+// feasibility (fathoming on the way against the cutoff incObj, with gcdStep
+// and objOffset mirroring the search's pruning arithmetic so a warm fathom
 // implies a prune), then a true-cost primal cleanup runs to optimality and
 // the vertex is reported from a fresh factorization, mirroring solveLP's
 // finalization. Statuses: lpCutoff/lpInfeasible fathom the node, lpOptimal
@@ -265,20 +247,17 @@ func newWarmState(p *lpProblem, snap *Basis) (*simplexState, bool) {
 // lpTimeLimit surfaces an expired deadline, and anything the warm path
 // cannot decide authoritatively comes back as probeFallback for a cold
 // re-solve.
-func warmSolveLP(minM *Model, lo, hi []float64, snap *Basis, incObj, gcdStep, objOffset float64, budget int, deadline time.Time) (lpSolution, probeOutcome) {
-	p := buildLP(minM, lo, hi)
-	for j := 0; j < p.n; j++ {
-		if p.lo[j] > p.hi[j]+feasTol {
+func (s *simplexState) warmSolveLP(p *lpTemplate, lo, hi []float64, snap *Basis, incObj, gcdStep, objOffset float64, budget int, deadline time.Time) (lpSolution, probeOutcome) {
+	for j := 0; j < p.nStruct; j++ {
+		if lo[j] > hi[j]+feasTol {
 			return lpSolution{status: lpInfeasible}, probeInfeasible
 		}
 	}
-	s, ok := newWarmState(p, snap)
-	if !ok {
-		var ctr kernelCounters
-		if s != nil {
-			ctr = s.counters
-		}
-		return lpSolution{counters: ctr}, probeFallback
+	if len(snap.Cols) != p.m || len(snap.States) != p.n+p.m || len(snap.ArtSign) != p.m {
+		return lpSolution{}, probeFallback
+	}
+	if !s.startWarm(p, lo, hi, snap) {
+		return lpSolution{counters: s.counters}, probeFallback
 	}
 	out, iters := s.dualFathom(incObj, gcdStep, objOffset, budget, deadline)
 	sol := lpSolution{iters: iters, counters: s.counters}
@@ -348,18 +327,20 @@ func warmSolveLP(minM *Model, lo, hi []float64, snap *Basis, incObj, gcdStep, ob
 // test and a working one. The result is cached: a warm solve's bounds never
 // change after construction.
 func (s *simplexState) certBox() (lo, hi []float64) {
-	if s.certLo != nil {
+	if s.certOK {
 		return s.certLo, s.certHi
 	}
 	p := s.p
-	lo = append([]float64(nil), p.lo[:s.ncols]...)
-	hi = append([]float64(nil), p.hi[:s.ncols]...)
+	lo = append(s.certLo[:0], s.lo...)
+	hi = append(s.certHi[:0], s.hi...)
 
-	finMin := make([]float64, p.m)
-	finMax := make([]float64, p.m)
-	finAbs := make([]float64, p.m)
-	infMin := make([]int, p.m)
-	infMax := make([]int, p.m)
+	s.finMin = zeroed(s.finMin, p.m)
+	s.finMax = zeroed(s.finMax, p.m)
+	s.finAbs = zeroed(s.finAbs, p.m)
+	s.infMin = zeroed(s.infMin, p.m)
+	s.infMax = zeroed(s.infMax, p.m)
+	finMin, finMax, finAbs := s.finMin, s.finMax, s.finAbs
+	infMin, infMax := s.infMin, s.infMax
 	// A second pass lets a bound derived in the first (e.g. for a slack)
 	// unlock bounds for columns sharing a row with it.
 	for pass := 0; pass < 2; pass++ {
@@ -371,8 +352,8 @@ func (s *simplexState) certBox() (lo, hi []float64) {
 			infMin[i], infMax[i] = 0, 0
 		}
 		for j := 0; j < s.ncols; j++ {
-			for k, row := range p.cols[j].rows {
-				v := p.cols[j].vals[k]
+			for k, row := range s.cols[j].rows {
+				v := s.cols[j].vals[k]
 				if v == 0 {
 					continue
 				}
@@ -399,8 +380,8 @@ func (s *simplexState) certBox() (lo, hi []float64) {
 			if !math.IsInf(lo[j], -1) && !math.IsInf(hi[j], 1) {
 				continue
 			}
-			for k, row := range p.cols[j].rows {
-				v := p.cols[j].vals[k]
+			for k, row := range s.cols[j].rows {
+				v := s.cols[j].vals[k]
 				if v == 0 {
 					continue
 				}
@@ -445,7 +426,7 @@ func (s *simplexState) certBox() (lo, hi []float64) {
 			break
 		}
 	}
-	s.certLo, s.certHi = lo, hi
+	s.certLo, s.certHi, s.certOK = lo, hi, true
 	return lo, hi
 }
 
@@ -472,8 +453,8 @@ func (s *simplexState) certInfeasible(u []float64) bool {
 		// product: the rounding error of alpha scales with it, not with
 		// alpha itself.
 		alpha, aAbs := 0.0, 0.0
-		for k, row := range p.cols[j].rows {
-			t := u[row] * p.cols[j].vals[k]
+		for k, row := range s.cols[j].rows {
+			t := u[row] * s.cols[j].vals[k]
 			alpha += t
 			aAbs += math.Abs(t)
 		}
@@ -540,8 +521,8 @@ func (s *simplexState) certLowerBound(y []float64) float64 {
 	}
 	for j := 0; j < s.ncols; j++ {
 		d, dAbs := p.c[j], math.Abs(p.c[j])
-		for k, row := range p.cols[j].rows {
-			t := y[row] * p.cols[j].vals[k]
+		for k, row := range s.cols[j].rows {
+			t := y[row] * s.cols[j].vals[k]
 			d -= t
 			dAbs += math.Abs(t)
 		}
@@ -589,9 +570,7 @@ func (s *simplexState) certLowerBound(y []float64) float64 {
 // the proof.
 func (s *simplexState) dualFathom(incObj, gcdStep, objOffset float64, budget int, deadline time.Time) (probeOutcome, int) {
 	p := s.p
-	y := make([]float64, p.m)
-	w := make([]float64, p.m)
-	rho := make([]float64, p.m)
+	y, w, rho := s.y, s.w, s.rho
 	sincePivot := 0
 
 	for iters := 0; ; iters++ {
@@ -604,7 +583,7 @@ func (s *simplexState) dualFathom(incObj, gcdStep, objOffset float64, budget int
 
 		// Dual values y = B^-T c_B for the (perturbed) phase-2 costs.
 		for i := 0; i < p.m; i++ {
-			y[i] = s.pcost[s.basis[i]]
+			y[i] = p.pcost[s.basis[i]]
 		}
 		s.rep.btran(y)
 
@@ -629,11 +608,11 @@ func (s *simplexState) dualFathom(incObj, gcdStep, objOffset float64, budget int
 		var leaveAt int8
 		for i := 0; i < p.m; i++ {
 			bv := s.basis[i]
-			if v := p.lo[bv] - s.xval[bv]; v > worst {
-				r, worst, target, leaveAt = i, v, p.lo[bv], stLower
+			if v := s.lo[bv] - s.xval[bv]; v > worst {
+				r, worst, target, leaveAt = i, v, s.lo[bv], stLower
 			}
-			if v := s.xval[bv] - p.hi[bv]; v > worst {
-				r, worst, target, leaveAt = i, v, p.hi[bv], stUpper
+			if v := s.xval[bv] - s.hi[bv]; v > worst {
+				r, worst, target, leaveAt = i, v, s.hi[bv], stUpper
 			}
 		}
 		if r == -1 {
@@ -662,7 +641,7 @@ func (s *simplexState) dualFathom(incObj, gcdStep, objOffset float64, budget int
 			if stj == stBasic {
 				continue
 			}
-			if isFixed(p.lo[j], p.hi[j]) && stj != stFree {
+			if isFixed(s.lo[j], s.hi[j]) && stj != stFree {
 				continue
 			}
 			if s.amark[j] != s.aepoch {
@@ -687,9 +666,9 @@ func (s *simplexState) dualFathom(incObj, gcdStep, objOffset float64, budget int
 			if !ok {
 				continue
 			}
-			d := s.pcost[j]
-			for k, row := range p.cols[j].rows {
-				d -= y[row] * p.cols[j].vals[k]
+			d := p.pcost[j]
+			for k, row := range s.cols[j].rows {
+				d -= y[row] * s.cols[j].vals[k]
 			}
 			if ratio := math.Abs(d) / math.Abs(alpha); ratio < bestRatio-1e-15 {
 				bestRatio = ratio
@@ -713,8 +692,8 @@ func (s *simplexState) dualFathom(incObj, gcdStep, objOffset float64, budget int
 		for i := range w {
 			w[i] = 0
 		}
-		for k, row := range p.cols[enter].rows {
-			w[row] = p.cols[enter].vals[k]
+		for k, row := range s.cols[enter].rows {
+			w[row] = s.cols[enter].vals[k]
 		}
 		s.rep.ftran(w)
 		if math.Abs(w[r]) < pivotTol {

@@ -17,6 +17,7 @@ import (
 
 	"letdma/internal/let"
 	"letdma/internal/model"
+	"letdma/internal/ordered"
 	"letdma/internal/timeutil"
 )
 
@@ -344,7 +345,9 @@ func genSaturated(rng *rand.Rand, seed int64) (*model.System, bool, error) {
 		return nil, false, fmt.Errorf("sysgen: saturated base system: %w", err)
 	}
 	infeasible := seed%2 != 0
-	for m, bytes := range requiredBytes(a) {
+	req := requiredBytes(a)
+	for _, m := range ordered.Keys(req) {
+		bytes := req[m]
 		if infeasible {
 			bytes--
 		}
