@@ -185,7 +185,7 @@ type bbNode struct {
 	lo, hi []float64
 	bound  float64 // parent LP relaxation objective (min sense)
 	depth  int
-	pbasis *Basis // parent's optimal basis (nil: solve cold)
+	pbasis *basisSnapshot // parent's optimal basis (nil: solve cold)
 }
 
 // searchState is the search context shared by the depth-first and the
@@ -210,7 +210,6 @@ type searchState struct {
 	incumbent []float64
 	incObj    float64 // minimization objective of incumbent
 	warm      bool    // warm solves from the parent basis enabled
-	stats     KernelStats
 	// stopCause is atomic because FastSearch workers write it
 	// concurrently; the depth-first engine pays one uncontended store per
 	// (rare) event. It holds the FIRST recorded StopCause (0 = none).
@@ -397,15 +396,13 @@ func (st *searchState) expand(node *bbNode, res lpSolution, cutoff float64) expa
 
 // finish assembles the Solution from the terminal search state. openBound
 // is the minimum relaxation bound among still-open nodes (+Inf when the
-// search exhausted the tree).
-func (st *searchState) finish(openBound float64, nodes, iters int, hitLimit bool) *Solution {
+// search exhausted the tree); k holds the kernel counters of every node
+// solve.
+func (st *searchState) finish(openBound float64, nodes, iters int, hitLimit bool, k KernelStats) *Solution {
 	bestBound := math.Min(openBound, st.incObj)
-	if settled := st.stats.WarmHits + st.stats.WarmExpands; settled > 0 && st.stats.ColdSolves > 0 {
-		st.stats.Phase1ItersSaved = settled * (st.stats.Phase1Iters / st.stats.ColdSolves)
-	}
 	sol := &Solution{
 		Nodes: nodes, SimplexIters: iters, Runtime: time.Since(st.start),
-		Kernel: st.stats,
+		Kernel: k,
 	}
 	if hitLimit {
 		sol.StopCause = StopCause(st.stopCause.Load())
@@ -436,12 +433,12 @@ func (st *searchState) finish(openBound float64, nodes, iters int, hitLimit bool
 	}
 	logf(st.p.Log, "done: status=%s stop=%s obj=%.6g bound=%.6g gap=%.3g nodes=%d iters=%d in %v\n",
 		sol.Status, sol.StopCause, sol.Obj, sol.BestBound, sol.Gap, sol.Nodes, sol.SimplexIters, sol.Runtime)
-	logf(st.p.Log, "kernel: warm_attempts=%d warm_hits=%d warm_expands=%d cold_solves=%d cold_fallbacks=%d warm_iters=%d phase1_iters=%d phase1_saved=%d refactors=%d\n",
-		st.stats.WarmAttempts, st.stats.WarmHits, st.stats.WarmExpands, st.stats.ColdSolves, st.stats.ColdFallbacks,
-		st.stats.WarmIters, st.stats.Phase1Iters, st.stats.Phase1ItersSaved, st.stats.Refactorizations)
+	logf(st.p.Log, "kernel: warm_attempts=%d warm_hits=%d warm_expands=%d cold_solves=%d cold_fallbacks=%d warm_iters=%d phase1_iters=%d refactors=%d\n",
+		k.WarmAttempts, k.WarmHits, k.WarmExpands, k.ColdSolves, k.ColdFallbacks,
+		k.WarmIters, k.Phase1Iters, k.Refactorizations)
 	logf(st.p.Log, "kernel/lu: ftran=%d ftran_nnz=%d btran=%d btran_nnz=%d etas=%d eta_nnz=%d lu_nnz=%d singular=%d\n",
-		st.stats.FtranSolves, st.stats.FtranNnz, st.stats.BtranSolves, st.stats.BtranNnz,
-		st.stats.EtaUpdates, st.stats.EtaNnz, st.stats.LuNnz, st.stats.SingularRefactors)
+		k.FtranSolves, k.FtranNnz, k.BtranSolves, k.BtranNnz,
+		k.EtaUpdates, k.EtaNnz, k.LuNnz, k.SingularRefactors)
 	return sol
 }
 
@@ -455,13 +452,14 @@ func Solve(m *Model, p Params) (*Solution, error) {
 }
 
 // solveDFS is the deterministic depth-first engine. Every node solve runs
-// in the one workspace ws.
+// in the one workspace ws, whose counters become the Solution's Kernel.
 func solveDFS(m *Model, p Params, ws *simplexState) (*Solution, error) {
 	start := time.Now()
 	st, early, err := prepSearch(m, p, start)
 	if early != nil || err != nil {
 		return early, err
 	}
+	ws.stats = KernelStats{}
 
 	nodes := 0
 	simplexIters := 0
@@ -496,9 +494,7 @@ func solveDFS(m *Model, p Params, ws *simplexState) (*Solution, error) {
 			continue
 		}
 
-		nr := st.solveNode(ws, node, st.incObj)
-		st.stats.add(nr.stats)
-		res := nr.lpSolution
+		res := st.solveNode(ws, node, st.incObj)
 		simplexIters += res.iters
 		switch res.status {
 		case lpTimeLimit, lpIterLimit, lpNumerical:
@@ -542,76 +538,49 @@ func solveDFS(m *Model, p Params, ws *simplexState) (*Solution, error) {
 	if len(stack) > 0 || hitLimit {
 		ob = openBound()
 	}
-	return st.finish(ob, nodes, simplexIters, hitLimit), nil
-}
-
-// coldSolve runs the two-phase simplex from the all-artificial basis on the
-// search's template in workspace ws, including the objective constant so
-// that LP bounds and incumbent objectives compare directly. It solves the
-// root, every node when warm starts are disabled, and every node the warm
-// path hands back.
-func (st *searchState) coldSolve(ws *simplexState, lo, hi []float64) lpSolution {
-	res := ws.solveLP(st.tpl, lo, hi, st.deadline)
-	if res.status == lpOptimal {
-		res.obj += st.objOffset
-	}
-	return res
-}
-
-// nodeResult is one node's relaxation outcome plus the kernel counters it
-// generated, returned separately so that concurrent FastSearch workers can
-// accumulate counters in their own slots.
-type nodeResult struct {
-	lpSolution
-	stats KernelStats
+	return st.finish(ob, nodes, simplexIters, hitLimit, ws.stats), nil
 }
 
 // solveNode resolves one node's relaxation against the cutoff incObj (the
 // minimization objective of the incumbent, +Inf when there is none). With a
-// parent basis it runs the warm solve (warmSolveLP), which fathoms the node
-// (lpCutoff or lpInfeasible), returns its true-cost LP optimum, or defers to
-// the cold path. The result is a pure function of (model, node bounds,
-// parent basis, incObj) — the workspace ws only lends storage — so
+// parent basis it runs the warm solve (warmSolveLP); whatever that cannot
+// decide, and every node without one, gets the cold two-phase solve from
+// the all-artificial basis. An lpOptimal result includes the objective
+// constant, so LP bounds and incumbent objectives compare directly. The
+// result is a pure function of (model, node bounds, parent basis, incObj) —
+// the workspace ws only lends storage and counts into its stats — so
 // FastSearch workers may call it concurrently, each with its own workspace
 // and their published cutoff; the depth-first engine passes its incumbent.
-func (st *searchState) solveNode(ws *simplexState, node *bbNode, incObj float64) nodeResult {
-	var nr nodeResult
+func (st *searchState) solveNode(ws *simplexState, node *bbNode, incObj float64) lpSolution {
+	k := &ws.stats
 	warmIters := 0
 	if st.warm && node.pbasis != nil {
-		nr.stats.WarmAttempts++
-		sol, out := ws.warmSolveLP(st.tpl, node.lo, node.hi, node.pbasis,
+		k.WarmAttempts++
+		res := ws.warmSolveLP(st.tpl, node.lo, node.hi, node.pbasis,
 			incObj, st.intObjGCD, st.objOffset, warmIterLimit, st.deadline)
-		nr.stats.WarmIters += sol.iters
-		nr.stats.addCounters(sol.counters)
-		switch {
-		case out == probeCutoff || out == probeInfeasible:
-			nr.stats.WarmHits++
-			nr.lpSolution = sol
-			return nr
-		case out == probeOpen:
-			// lpOptimal, or lpUnbounded from a primal-feasible basis; both
-			// are authoritative.
-			if sol.status == lpOptimal {
-				nr.stats.WarmExpands++
-				sol.obj += st.objOffset
-			}
-			nr.lpSolution = sol
-			return nr
-		case sol.status == lpTimeLimit:
-			// An expired deadline is final; a cold solve would stop too.
-			nr.lpSolution = sol
-			return nr
+		k.WarmIters += res.iters
+		switch res.status {
+		case lpCutoff, lpInfeasible:
+			k.WarmHits++
+			return res
+		case lpOptimal:
+			k.WarmExpands++
+			res.obj += st.objOffset
+			return res
+		case lpUnbounded, lpTimeLimit:
+			return res
 		}
-		nr.stats.ColdFallbacks++
-		warmIters = sol.iters
+		// lpIterLimit, lpNumerical: the warm path could not decide.
+		k.ColdFallbacks++
+		warmIters = res.iters
 	}
-	res := st.coldSolve(ws, node.lo, node.hi)
-	nr.stats.ColdSolves++
-	nr.stats.Phase1Iters += res.phase1Iters
-	nr.stats.addCounters(res.counters)
+	k.ColdSolves++
+	res := ws.solveLP(st.tpl, node.lo, node.hi, st.deadline)
+	if res.status == lpOptimal {
+		res.obj += st.objOffset
+	}
 	res.iters += warmIters
-	nr.lpSolution = res
-	return nr
+	return res
 }
 
 // relGap computes the relative optimality gap for minimization values,

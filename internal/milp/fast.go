@@ -120,11 +120,10 @@ func (d *fastDeque) drain() []*bbNode {
 }
 
 // fastWorker is one worker's private accumulator, merged after the join,
-// plus its node-solve workspace. Workers only ever touch their own slot,
-// so the slice is race-free by construction (the pre-indexed slot
-// discipline).
+// plus its node-solve workspace, whose stats also count its steals.
+// Workers only ever touch their own slot, so the slice is race-free by
+// construction (the pre-indexed slot discipline).
 type fastWorker struct {
-	stats KernelStats
 	iters int
 	lp    simplexState // the worker's node-solve workspace
 }
@@ -203,7 +202,7 @@ func (e *fastEngine) next(id int, ws *fastWorker) *bbNode {
 		return nil
 	}
 	if n := e.deques[best].stealBest(); n != nil {
-		ws.stats.Steals++
+		ws.lp.stats.Steals++
 		return n
 	}
 	return nil
@@ -258,9 +257,7 @@ func (e *fastEngine) process(id int, node *bbNode, ws *fastWorker) {
 	if fathomed(node, e.cutoff()) {
 		return
 	}
-	nr := st.solveNode(&ws.lp, node, e.cutoff())
-	ws.stats.add(nr.stats)
-	res := nr.lpSolution
+	res := st.solveNode(&ws.lp, node, e.cutoff())
 	ws.iters += res.iters
 	switch res.status {
 	case lpTimeLimit, lpIterLimit, lpNumerical:
@@ -333,8 +330,9 @@ func solveFast(m *Model, p Params) (*Solution, error) {
 
 	nodes := int(e.nodes.Load())
 	iters := 0
+	var k KernelStats
 	for i := range locals {
-		st.stats.add(locals[i].stats)
+		k.add(locals[i].lp.stats)
 		iters += locals[i].iters
 	}
 	if e.unbounded.Load() {
@@ -358,6 +356,6 @@ func solveFast(m *Model, p Params) (*Solution, error) {
 			}
 		}
 	}
-	logf(p.Log, "fast: workers=%d steals=%d\n", workers, st.stats.Steals)
-	return st.finish(ob, nodes, iters, hitLimit), nil
+	logf(p.Log, "fast: workers=%d steals=%d\n", workers, k.Steals)
+	return st.finish(ob, nodes, iters, hitLimit, k), nil
 }

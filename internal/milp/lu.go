@@ -323,32 +323,6 @@ type eta struct {
 	ent []luEntry
 }
 
-// kernelCounters aggregates one solve's linear-algebra activity. They are
-// folded into KernelStats by the branch-and-bound engines.
-type kernelCounters struct {
-	refactors   int
-	ftranSolves int
-	ftranNnz    int
-	btranSolves int
-	btranNnz    int
-	etaUpdates  int
-	etaNnz      int
-	luNnz       int // factor entries summed over refactorizations
-	singular    int // refactorizations rejected as singular
-}
-
-func (k *kernelCounters) add(o kernelCounters) {
-	k.refactors += o.refactors
-	k.ftranSolves += o.ftranSolves
-	k.ftranNnz += o.ftranNnz
-	k.btranSolves += o.btranSolves
-	k.btranNnz += o.btranNnz
-	k.etaUpdates += o.etaUpdates
-	k.etaNnz += o.etaNnz
-	k.luNnz += o.luNnz
-	k.singular += o.singular
-}
-
 // basisRep is the simplex kernel's working basis representation: the LU
 // factors plus the eta file accumulated since the last refactorization.
 type basisRep struct {
@@ -356,15 +330,15 @@ type basisRep struct {
 	etas []eta
 	// etaPool recycles eta entry slices across refactorizations and solves.
 	etaPool [][]luEntry
-	ctr     *kernelCounters
+	stats   *KernelStats // the owning workspace's counters
 }
 
-// reset empties the representation for a solve with m rows that reports to
-// ctr: no factors, no etas, every eta entry slice back in the pool.
-func (b *basisRep) reset(m int, ctr *kernelCounters) {
+// reset empties the representation for a solve with m rows that counts
+// into stats: no factors, no etas, every eta entry slice back in the pool.
+func (b *basisRep) reset(m int, stats *KernelStats) {
 	b.recycleEtas()
 	b.lu.reset(m)
-	b.ctr = ctr
+	b.stats = stats
 }
 
 // recycleEtas discards the eta file, returning its entry slices to the pool.
@@ -381,11 +355,11 @@ func (b *basisRep) recycleEtas() {
 func (b *basisRep) factorize(cols []sparseCol, basis []int) error {
 	b.recycleEtas()
 	if err := b.lu.factorize(cols, basis); err != nil {
-		b.ctr.singular++
+		b.stats.SingularRefactors++
 		return err
 	}
-	b.ctr.refactors++
-	b.ctr.luNnz += b.lu.nnz()
+	b.stats.Refactorizations++
+	b.stats.LuNnz += b.lu.nnz()
 	return nil
 }
 
@@ -403,8 +377,8 @@ func (b *basisRep) update(r int, w []float64) {
 		}
 	}
 	b.etas = append(b.etas, eta{r: int32(r), pv: w[r], ent: ent})
-	b.ctr.etaUpdates++
-	b.ctr.etaNnz += len(ent) + 1
+	b.stats.EtaUpdates++
+	b.stats.EtaNnz += len(ent) + 1
 }
 
 // ftran solves B x = v in place through the factors and the eta file.
@@ -420,8 +394,8 @@ func (b *basisRep) ftran(v []float64) {
 		}
 		v[e.r] = xr
 	}
-	b.ctr.ftranSolves++
-	b.ctr.ftranNnz += nnzOf(v)
+	b.stats.FtranSolves++
+	b.stats.FtranNnz += nnzOf(v)
 }
 
 // btran solves Bᵀ y = v in place through the eta file (reverse order) and
@@ -436,8 +410,8 @@ func (b *basisRep) btran(v []float64) {
 		v[e.r] = s / e.pv
 	}
 	b.lu.btran(v)
-	b.ctr.btranSolves++
-	b.ctr.btranNnz += nnzOf(v)
+	b.stats.BtranSolves++
+	b.stats.BtranNnz += nnzOf(v)
 }
 
 func nnzOf(v []float64) int {

@@ -192,10 +192,10 @@ func TestLUSingular(t *testing.T) {
 }
 
 // newBasisRep returns an empty basis representation for m rows that
-// reports to ctr.
-func newBasisRep(m int, ctr *kernelCounters) *basisRep {
+// counts into stats.
+func newBasisRep(m int, stats *KernelStats) *basisRep {
 	b := &basisRep{}
-	b.reset(m, ctr)
+	b.reset(m, stats)
 	return b
 }
 
@@ -213,8 +213,8 @@ func TestSingularRefactorCounted(t *testing.T) {
 	lo, hi := rootBounds(m)
 	s := new(simplexState)
 	s.startCold(newTemplate(m), lo, hi)
-	if s.counters.refactors != 1 || s.counters.singular != 0 {
-		t.Fatalf("cold start: refactors=%d singular=%d, want 1 and 0", s.counters.refactors, s.counters.singular)
+	if s.stats.Refactorizations != 1 || s.stats.SingularRefactors != 0 {
+		t.Fatalf("cold start: refactors=%d singular=%d, want 1 and 0", s.stats.Refactorizations, s.stats.SingularRefactors)
 	}
 	for i := range s.basis {
 		s.state[s.basis[i]] = stLower
@@ -224,11 +224,11 @@ func TestSingularRefactorCounted(t *testing.T) {
 	if err := s.refactorize(); err == nil {
 		t.Fatal("refactorize accepted a singular basis")
 	}
-	if s.counters.refactors != 1 || s.counters.singular != 1 {
-		t.Fatalf("after the singular basis: refactors=%d singular=%d, want 1 and 1", s.counters.refactors, s.counters.singular)
+	if s.stats.Refactorizations != 1 || s.stats.SingularRefactors != 1 {
+		t.Fatalf("after the singular basis: refactors=%d singular=%d, want 1 and 1", s.stats.Refactorizations, s.stats.SingularRefactors)
 	}
 	var k KernelStats
-	k.addCounters(s.counters)
+	k.add(s.stats)
 	k.add(k)
 	if k.Refactorizations != 2 || k.SingularRefactors != 2 {
 		t.Fatalf("KernelStats folding: refactorizations=%d singular=%d, want 2 and 2", k.Refactorizations, k.SingularRefactors)
@@ -249,8 +249,8 @@ func TestBasisRepEtaUpdates(t *testing.T) {
 			cols = append(cols, extra[i])
 		}
 
-		var ctr kernelCounters
-		rep := newBasisRep(m, &ctr)
+		var stats KernelStats
+		rep := newBasisRep(m, &stats)
 		if err := rep.factorize(cols, basis); err != nil {
 			continue
 		}
@@ -271,8 +271,8 @@ func TestBasisRepEtaUpdates(t *testing.T) {
 			rep.update(r, w)
 
 			// Reference: fresh factorization of the updated basis.
-			var refCtr kernelCounters
-			ref := newBasisRep(m, &refCtr)
+			var refStats KernelStats
+			ref := newBasisRep(m, &refStats)
 			if err := ref.factorize(cols, basis); err != nil {
 				t.Fatalf("trial %d upd %d: reference refactorization singular", trial, upd)
 			}
@@ -295,7 +295,7 @@ func TestBasisRepEtaUpdates(t *testing.T) {
 				t.Fatalf("trial %d upd %d: eta-file btran drifts from refactorized btran by %g", trial, upd, d)
 			}
 		}
-		if ctr.etaUpdates > 0 && ctr.etaNnz == 0 {
+		if stats.EtaUpdates > 0 && stats.EtaNnz == 0 {
 			t.Fatalf("trial %d: eta updates counted without eta nonzeros", trial)
 		}
 	}

@@ -71,7 +71,7 @@ func TestDriveOutArtificials(t *testing.T) {
 		t.Fatal("optimal solve returned no basis snapshot")
 	}
 	nArt := len(m.Vars) + len(m.Cons) // first artificial column index
-	for i, c := range res.basis.Cols {
+	for i, c := range res.basis.cols {
 		if int(c) >= nArt {
 			t.Errorf("row %d: artificial column %d still basic in the snapshot", i, c)
 		}
@@ -90,9 +90,9 @@ func TestDriveOutArtificials(t *testing.T) {
 // requires the warm path to settle it (no fallback) at the cold optimum.
 func warmRoundTrip(t *testing.T, m *Model, lo, hi []float64, cold lpSolution) {
 	t.Helper()
-	warm, out := freshWarmSolveLP(m, lo, hi, cold.basis, math.Inf(1), 0, 0, 300, time.Time{})
-	if out != probeOpen || warm.status != lpOptimal {
-		t.Fatalf("warm solve outcome %v status %v, want probeOpen/optimal", out, warm.status)
+	warm := freshWarmSolveLP(m, lo, hi, cold.basis, math.Inf(1), 0, 0, 300, time.Time{})
+	if warm.status != lpOptimal {
+		t.Fatalf("warm solve status %v, want optimal", warm.status)
 	}
 	if math.Abs(warm.obj-cold.obj) > 1e-9 {
 		t.Fatalf("warm optimum %g, cold optimum %g", warm.obj, cold.obj)
@@ -122,7 +122,7 @@ func TestDriveOutRedundantEQ(t *testing.T) {
 	}
 	nArt := len(m.Vars) + len(m.Cons)
 	arts := 0
-	for _, c := range res.basis.Cols {
+	for _, c := range res.basis.cols {
 		if int(c) >= nArt {
 			arts++
 		}
@@ -143,14 +143,14 @@ func TestDriveOutRedundantEQ(t *testing.T) {
 // variables, rows constraints): every basic column in range, basic in
 // exactly one row and marked basic, every state known, every artificial
 // sign +/-1.
-func validateBasis(b *Basis, nStruct, rows int) error {
+func validateBasis(b *basisSnapshot, nStruct, rows int) error {
 	ncols := nStruct + 2*rows
-	if len(b.Cols) != rows || len(b.States) != ncols || len(b.ArtSign) != rows {
+	if len(b.cols) != rows || len(b.states) != ncols || len(b.artSign) != rows {
 		return fmt.Errorf("shape mismatch: basis %d/%d/%d, model wants %d/%d/%d",
-			len(b.Cols), len(b.States), len(b.ArtSign), rows, ncols, rows)
+			len(b.cols), len(b.states), len(b.artSign), rows, ncols, rows)
 	}
 	inBasis := make([]bool, ncols)
-	for _, c := range b.Cols {
+	for _, c := range b.cols {
 		if c < 0 || int(c) >= ncols {
 			return fmt.Errorf("basic column %d out of range [0, %d)", c, ncols)
 		}
@@ -158,11 +158,11 @@ func validateBasis(b *Basis, nStruct, rows int) error {
 			return fmt.Errorf("column %d basic in more than one row", c)
 		}
 		inBasis[c] = true
-		if b.States[c] != stBasic {
+		if b.states[c] != stBasic {
 			return fmt.Errorf("column %d in the basis but not marked basic", c)
 		}
 	}
-	for j, st := range b.States {
+	for j, st := range b.states {
 		switch st {
 		case stBasic:
 			if !inBasis[j] {
@@ -173,7 +173,7 @@ func validateBasis(b *Basis, nStruct, rows int) error {
 			return fmt.Errorf("column %d has invalid state %d", j, st)
 		}
 	}
-	for i, sg := range b.ArtSign {
+	for i, sg := range b.artSign {
 		if sg != 1 && sg != -1 {
 			return fmt.Errorf("artificial %d has invalid sign %d", i, sg)
 		}

@@ -24,24 +24,28 @@ const (
 	devexReset = 1e7
 )
 
-// lpStatus is the outcome of one LP solve.
+// lpStatus is the outcome of one LP solve, cold or warm, and of the steps
+// inside one (phase1, iterate, dualFathom).
 type lpStatus int
 
 const (
+	// lpOptimal: an optimal vertex (dualFathom: a primal-feasible basis
+	// below the cutoff, ready for the true-cost cleanup).
 	lpOptimal lpStatus = iota
+	// lpInfeasible: the relaxation provably has no feasible point.
 	lpInfeasible
 	lpUnbounded
-	lpIterLimit
+	lpIterLimit // a pivot budget ran out
 	lpTimeLimit
 	// lpCutoff: the warm dual-simplex solve proved the node's relaxation
 	// bound exceeds the incumbent cutoff, so the node is fathomed without a
 	// full solve. By weak duality a full solve would have been pruned too.
 	lpCutoff
-	// lpNumerical: the kernel produced a verdict that is impossible in
-	// exact arithmetic — currently only phase 1 claiming unboundedness,
-	// although its objective is bounded below by zero. The node's
-	// relaxation is undecided; the search must not claim infeasibility or
-	// optimality from it.
+	// lpNumerical: the kernel lost its numerical footing (a singular
+	// refactorization, an unsafe pivot, an untrusted certificate, or phase
+	// 1 claiming unboundedness although its objective is bounded below by
+	// zero). The relaxation is undecided: the search must not claim
+	// infeasibility or optimality from it.
 	lpNumerical
 )
 
@@ -91,13 +95,9 @@ type lpSolution struct {
 	x      []float64 // structural variable values (length nStruct)
 	obj    float64
 	iters  int
-	// phase1Iters is the portion of iters spent in phase 1 (cold path only).
-	phase1Iters int
-	// counters holds the linear-algebra activity of the solve.
-	counters kernelCounters
 	// basis is the final simplex basis (set on lpOptimal), handed to child
 	// nodes as the dual-simplex warm start.
-	basis *Basis
+	basis *basisSnapshot
 }
 
 // newTemplate builds the computational form of a minimization model.
@@ -192,8 +192,9 @@ type simplexState struct {
 	state   []int8    // per column
 	xval    []float64 // current value per column (basic and nonbasic)
 	ncols   int       // total columns including artificials
-	// counters accumulates the solve's linear-algebra activity.
-	counters kernelCounters
+	// stats counts every solve in the workspace (basisRep the linear
+	// algebra, solveNode the routing); a search clears it when it starts.
+	stats KernelStats
 	// devex pricing state: reference-framework weights per column plus the
 	// partial-pricing section cursor.
 	dwt         []float64
@@ -239,8 +240,7 @@ func (s *simplexState) reset(p *lpTemplate, lo, hi []float64, artHi float64) {
 	for j := p.n; j < s.ncols; j++ {
 		s.hi[j] = artHi
 	}
-	s.counters = kernelCounters{}
-	s.rep.reset(p.m, &s.counters)
+	s.rep.reset(p.m, &s.stats)
 	s.basis = zeroed(s.basis, p.m)
 	s.state = zeroed(s.state, s.ncols)
 	s.xval = zeroed(s.xval, s.ncols)
@@ -291,17 +291,11 @@ func (s *simplexState) solveLP(p *lpTemplate, lo, hi []float64, deadline time.Ti
 
 	s.startCold(p, lo, hi)
 
-	totalIters := 0
-
 	// Phase 1.
-	st, it := s.phase1(s.phase1CostVec(), deadline)
-	totalIters += it
-	phase1Iters := it
-	done := func(status lpStatus) lpSolution {
-		return lpSolution{status: status, iters: totalIters, phase1Iters: phase1Iters, counters: s.counters}
-	}
+	st, iters := s.phase1(s.phase1CostVec(), deadline)
+	s.stats.Phase1Iters += iters
 	if st != lpOptimal {
-		return done(st)
+		return lpSolution{status: st, iters: iters}
 	}
 	// Drive basic artificials out of the basis where possible, then pin all
 	// artificials to zero for phase 2.
@@ -314,31 +308,32 @@ func (s *simplexState) solveLP(p *lpTemplate, lo, hi []float64, deadline time.Ti
 		}
 	}
 
-	// Phase 2.
-	st, it = s.iterate(p.c, deadline)
-	totalIters += it
+	// Phase 2. A singular refactorization inside it (lpNumerical) goes on
+	// to the vertex report, whose fresh factorization decides.
+	st, it := s.iterate(p.c, deadline)
+	iters += it
 	if st == lpTimeLimit || st == lpIterLimit || st == lpUnbounded {
-		return done(st)
+		return lpSolution{status: st, iters: iters}
 	}
+	return s.vertex(iters)
+}
 
-	// Final cleanup solve: recompute the basic values from a fresh
-	// factorization so the reported vertex carries one FTRAN's rounding
-	// error instead of the drift accumulated across the eta-file updates.
+// vertex reports the current basis as the solve's optimum: a fresh
+// factorization recomputes the basic values, so the reported vertex carries
+// one FTRAN's rounding error instead of the drift accumulated across the
+// eta-file updates. A singular factorization reports lpNumerical.
+func (s *simplexState) vertex(iters int) lpSolution {
 	if err := s.refactorize(); err != nil {
-		return done(lpNumerical)
+		return lpSolution{status: lpNumerical, iters: iters}
 	}
-
+	p := s.p
 	x := make([]float64, p.nStruct)
 	copy(x, s.xval[:p.nStruct])
 	obj := 0.0
 	for j := 0; j < p.n; j++ {
 		obj += p.c[j] * s.xval[j]
 	}
-	sol := done(lpOptimal)
-	sol.x = x
-	sol.obj = obj
-	sol.basis = s.snapshotBasis()
-	return sol
+	return lpSolution{status: lpOptimal, x: x, obj: obj, iters: iters, basis: s.snapshotBasis()}
 }
 
 // startCold sets up the cold-start state: nonbasic structural/slack
@@ -394,11 +389,11 @@ func (s *simplexState) startCold(p *lpTemplate, lo, hi []float64) {
 // corrupted one and exercise the lpNumerical guard, which is unreachable
 // with the true phase-1 costs in exact arithmetic.
 //
-// iterate also reports lpInfeasible when one of its refactorizations finds
-// the basis singular. phase1 does not tell that case apart: it sums the
-// basic artificials of the half-rebuilt representation like any other
-// outcome, so a singular refactorization can come out as lpOptimal. Such
-// events are counted in KernelStats.SingularRefactors.
+// iterate reports lpNumerical when one of its refactorizations finds the
+// basis singular. phase1 does not act on that: it sums the basic
+// artificials of the half-rebuilt representation like any other outcome,
+// so a singular refactorization can come out as lpOptimal. Such events are
+// counted in KernelStats.SingularRefactors.
 func (s *simplexState) phase1(cost []float64, deadline time.Time) (lpStatus, int) {
 	st, it := s.iterate(cost, deadline)
 	switch st {
@@ -595,7 +590,8 @@ func (s *simplexState) updateDevex(r, enter, leaving int, rho []float64) {
 // optimality, unboundedness, or a limit. Pricing is devex with partial
 // scans (Bland's rule after blandAt iterations); directions come from
 // sparse FTRANs and dual values from sparse BTRANs against the LU + eta
-// basis representation.
+// basis representation. A refactorization that finds the basis singular
+// stops it with lpNumerical.
 func (s *simplexState) iterate(cost []float64, deadline time.Time) (lpStatus, int) {
 	p := s.p
 	y, w, rho := s.y, s.w, s.rho
@@ -715,7 +711,7 @@ func (s *simplexState) iterate(cost []float64, deadline time.Time) (lpStatus, in
 			// Numerically unsafe pivot: refactorize the (already updated)
 			// basis instead of appending an eta with a tiny pivot.
 			if err := s.refactorize(); err != nil {
-				return lpInfeasible, iters
+				return lpNumerical, iters
 			}
 			continue
 		}
@@ -733,7 +729,7 @@ func (s *simplexState) iterate(cost []float64, deadline time.Time) (lpStatus, in
 		if sinceRefactor >= refactor {
 			sinceRefactor = 0
 			if err := s.refactorize(); err != nil {
-				return lpInfeasible, iters
+				return lpNumerical, iters
 			}
 		}
 	}

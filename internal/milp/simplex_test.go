@@ -32,7 +32,7 @@ func freshSolveLP(m *Model, lo, hi []float64, deadline time.Time) lpSolution {
 
 // freshWarmSolveLP is warmSolveLP on a freshly built template in a fresh
 // workspace.
-func freshWarmSolveLP(m *Model, lo, hi []float64, snap *Basis, incObj, gcdStep, objOffset float64, budget int, deadline time.Time) (lpSolution, probeOutcome) {
+func freshWarmSolveLP(m *Model, lo, hi []float64, snap *basisSnapshot, incObj, gcdStep, objOffset float64, budget int, deadline time.Time) lpSolution {
 	return new(simplexState).warmSolveLP(newTemplate(m), lo, hi, snap, incObj, gcdStep, objOffset, budget, deadline)
 }
 

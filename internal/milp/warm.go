@@ -10,21 +10,23 @@ import (
 // variable bound, so the parent's optimal basis stays dual-feasible for the
 // child — the textbook dual-simplex warm start. warmSolveLP rebuilds that
 // basis on the child's bounds and runs the dual simplex, fathoming the node
-// on the way when a certified bound crosses the incumbent cutoff or a
-// verified Farkas certificate proves it infeasible. Otherwise it repairs
-// primal feasibility, runs a true-cost primal cleanup to optimality and
-// reports the vertex from a fresh factorization. The warm vertex may differ
-// from the one a cold solve of the same node reports (both are optimal), so
-// warm and cold searches agree on status and optimum but not on their
-// trajectories; each one replays bit-identically on its own.
+// on the way when a certified bound crosses the incumbent cutoff (lpCutoff)
+// or a verified Farkas certificate proves it infeasible (lpInfeasible).
+// Otherwise it repairs primal feasibility, runs a true-cost primal cleanup
+// to optimality and reports the vertex from a fresh factorization
+// (lpOptimal). The warm vertex may differ from the one a cold solve of the
+// same node reports (both are optimal), so warm and cold searches agree on
+// status and optimum but not on their trajectories; each one replays
+// bit-identically on its own.
 //
-// Fallback ladder (any rung drops to the cold two-phase path):
+// Fallback ladder (lpNumerical unless noted; the node is then solved cold):
 //  1. snapshot does not fit the child's computational form,
 //  2. singular refactorization of the parent basis,
 //  3. numerically unsafe dual pivot (|pivot| < pivotTol),
-//  4. per-node dual pivot budget or the solver deadline exhausted,
+//  4. per-node dual pivot budget exhausted (lpIterLimit),
 //  5. untrusted infeasibility certificate (violation <= certTrust),
-//  6. primal cleanup hits its iteration limit or a singular basis.
+//  6. primal cleanup hits its iteration limit (lpIterLimit) or a singular
+//     basis.
 
 const (
 	// certTrust is the minimum primal bound violation for which a
@@ -46,48 +48,49 @@ const (
 	certNoise = 1e-12
 )
 
-// Basis is a snapshot of a simplex basis, used to warm-start the
+// basisSnapshot is a snapshot of a simplex basis, used to warm-start the
 // dual-simplex solve of child nodes. Column indices follow the computational
 // form of lpTemplate: structural variables first, then one slack per
 // constraint, then one phase-1 artificial per constraint.
-type Basis struct {
-	// Cols holds the basic column of each constraint row.
-	Cols []int32
-	// States holds the simplex state of every column (basic, at lower
+type basisSnapshot struct {
+	// cols holds the basic column of each constraint row.
+	cols []int32
+	// states holds the simplex state of every column (basic, at lower
 	// bound, at upper bound, or free), length #vars + 2*#constraints.
-	States []int8
-	// ArtSign holds the +/-1 sign of each artificial column, which depends
+	states []int8
+	// artSign holds the +/-1 sign of each artificial column, which depends
 	// on the residual of the originating solve and must be reproduced for
 	// the snapshot's basis matrix to be reconstructed exactly.
-	ArtSign []int8
+	artSign []int8
 }
 
 // snapshotBasis captures the current basis of an optimal solve for reuse by
 // child-node warm solves.
-func (s *simplexState) snapshotBasis() *Basis {
+func (s *simplexState) snapshotBasis() *basisSnapshot {
 	p := s.p
-	b := &Basis{
-		Cols:    make([]int32, p.m),
-		States:  make([]int8, s.ncols),
-		ArtSign: make([]int8, p.m),
+	b := &basisSnapshot{
+		cols:    make([]int32, p.m),
+		states:  make([]int8, s.ncols),
+		artSign: make([]int8, p.m),
 	}
 	for i, bv := range s.basis {
-		b.Cols[i] = int32(bv)
+		b.cols[i] = int32(bv)
 	}
-	copy(b.States, s.state)
+	copy(b.states, s.state)
 	for i := 0; i < p.m; i++ {
 		if s.artSign[i] < 0 {
-			b.ArtSign[i] = -1
+			b.artSign[i] = -1
 		} else {
-			b.ArtSign[i] = 1
+			b.artSign[i] = 1
 		}
 	}
 	return b
 }
 
 // KernelStats aggregates simplex-kernel counters across a branch-and-bound
-// solve. Like the rest of the Solution they replay exactly on the
-// depth-first engine; under FastSearch they depend on scheduling.
+// solve, counted in the node-solve workspaces. Like the rest of the
+// Solution they replay exactly on the depth-first engine; under FastSearch
+// they depend on scheduling.
 type KernelStats struct {
 	// WarmAttempts counts nodes that entered the dual-simplex warm solve.
 	WarmAttempts int
@@ -104,10 +107,6 @@ type KernelStats struct {
 	WarmIters int
 	// Phase1Iters counts phase-1 iterations spent by cold solves.
 	Phase1Iters int
-	// Phase1ItersSaved estimates the phase-1 work the warm path avoided:
-	// (WarmHits + WarmExpands) times the mean phase-1 iterations per cold
-	// solve.
-	Phase1ItersSaved int
 	// Refactorizations counts sparse-LU basis rebuilds across all solves.
 	Refactorizations int
 	// FtranSolves / BtranSolves count sparse forward/backward solves against
@@ -150,7 +149,6 @@ func (k *KernelStats) add(o KernelStats) {
 	k.ColdFallbacks += o.ColdFallbacks
 	k.WarmIters += o.WarmIters
 	k.Phase1Iters += o.Phase1Iters
-	k.Phase1ItersSaved += o.Phase1ItersSaved
 	k.Refactorizations += o.Refactorizations
 	k.FtranSolves += o.FtranSolves
 	k.FtranNnz += o.FtranNnz
@@ -164,55 +162,23 @@ func (k *KernelStats) add(o KernelStats) {
 	k.Steals += o.Steals
 }
 
-// addCounters folds one solve's kernel counters into the aggregate.
-func (k *KernelStats) addCounters(c kernelCounters) {
-	k.Refactorizations += c.refactors
-	k.FtranSolves += c.ftranSolves
-	k.FtranNnz += c.ftranNnz
-	k.BtranSolves += c.btranSolves
-	k.BtranNnz += c.btranNnz
-	k.EtaUpdates += c.etaUpdates
-	k.EtaNnz += c.etaNnz
-	k.LuNnz += c.luNnz
-	k.SingularRefactors += c.singular
-}
-
-// probeOutcome is the verdict of one warm solve.
-type probeOutcome int
-
-const (
-	// probeOpen: the warm solve reached an authoritative LP answer below
-	// the cutoff (dualFathom: primal feasibility); the node is expanded.
-	probeOpen probeOutcome = iota
-	// probeCutoff: the relaxation bound provably exceeds the incumbent
-	// cutoff; the node is fathomed.
-	probeCutoff
-	// probeInfeasible: a trusted Farkas certificate proves the relaxation
-	// infeasible; the node is fathomed.
-	probeInfeasible
-	// probeFallback: the warm solve hit the fallback ladder; the node goes
-	// to the cold path undecided.
-	probeFallback
-)
-
 // startWarm rebuilds the parent basis snapshot on the child's bounds:
 // artificial columns pinned to zero with the snapshot's signs, nonbasic
 // values taken from the child's bounds, and a fresh factorization. Pricing
 // uses the template's perturbed costs (see newTemplate). It reports false
 // when a nonbasic state points at an infinite bound or the refactorization
-// is singular; the workspace still carries the solve's linear-algebra
-// counters. The caller has checked that the snapshot fits the template.
-func (s *simplexState) startWarm(p *lpTemplate, lo, hi []float64, snap *Basis) bool {
+// is singular. The caller has checked that the snapshot fits the template.
+func (s *simplexState) startWarm(p *lpTemplate, lo, hi []float64, snap *basisSnapshot) bool {
 	s.reset(p, lo, hi, 0)
 	for i := 0; i < p.m; i++ {
 		// Artificials are pinned to zero (the snapshot comes from a
 		// completed phase 2) but must carry the originating solve's sign so
 		// the basis matrix matches the snapshot.
-		s.setArtificial(i, float64(snap.ArtSign[i]))
+		s.setArtificial(i, float64(snap.artSign[i]))
 	}
-	copy(s.state, snap.States)
+	copy(s.state, snap.states)
 	for i := 0; i < p.m; i++ {
-		s.basis[i] = int(snap.Cols[i])
+		s.basis[i] = int(snap.cols[i])
 	}
 	// Nonbasic values come from the child's bounds. A nonbasic state
 	// pointing at an infinite bound means the snapshot does not fit this
@@ -241,75 +207,34 @@ func (s *simplexState) startWarm(p *lpTemplate, lo, hi []float64, snap *Basis) b
 // feasibility (fathoming on the way against the cutoff incObj, with gcdStep
 // and objOffset mirroring the search's pruning arithmetic so a warm fathom
 // implies a prune), then a true-cost primal cleanup runs to optimality and
-// the vertex is reported from a fresh factorization, mirroring solveLP's
-// finalization. Statuses: lpCutoff/lpInfeasible fathom the node, lpOptimal
-// carries x/obj/basis (obj WITHOUT the objective constant, like solveLP),
-// lpTimeLimit surfaces an expired deadline, and anything the warm path
-// cannot decide authoritatively comes back as probeFallback for a cold
-// re-solve.
-func (s *simplexState) warmSolveLP(p *lpTemplate, lo, hi []float64, snap *Basis, incObj, gcdStep, objOffset float64, budget int, deadline time.Time) (lpSolution, probeOutcome) {
+// the vertex is reported like solveLP's (obj WITHOUT the objective
+// constant). lpCutoff and lpInfeasible fathom the node; lpOptimal,
+// lpUnbounded and lpTimeLimit are final; lpIterLimit and lpNumerical mean
+// the warm path could not decide and the node is solved cold.
+func (s *simplexState) warmSolveLP(p *lpTemplate, lo, hi []float64, snap *basisSnapshot, incObj, gcdStep, objOffset float64, budget int, deadline time.Time) lpSolution {
 	for j := 0; j < p.nStruct; j++ {
 		if lo[j] > hi[j]+feasTol {
-			return lpSolution{status: lpInfeasible}, probeInfeasible
+			return lpSolution{status: lpInfeasible}
 		}
 	}
-	if len(snap.Cols) != p.m || len(snap.States) != p.n+p.m || len(snap.ArtSign) != p.m {
-		return lpSolution{}, probeFallback
+	if len(snap.cols) != p.m || len(snap.states) != p.n+p.m || len(snap.artSign) != p.m ||
+		!s.startWarm(p, lo, hi, snap) {
+		return lpSolution{status: lpNumerical}
 	}
-	if !s.startWarm(p, lo, hi, snap) {
-		return lpSolution{counters: s.counters}, probeFallback
+	st, iters := s.dualFathom(incObj, gcdStep, objOffset, budget, deadline)
+	if st != lpOptimal {
+		return lpSolution{status: st, iters: iters}
 	}
-	out, iters := s.dualFathom(incObj, gcdStep, objOffset, budget, deadline)
-	sol := lpSolution{iters: iters, counters: s.counters}
-	switch out {
-	case probeCutoff:
-		sol.status = lpCutoff
-		return sol, out
-	case probeInfeasible:
-		sol.status = lpInfeasible
-		return sol, out
-	case probeFallback:
-		return sol, out
+	// The basis is primal feasible. Finish on the TRUE costs — the dual
+	// sweep priced a perturbed objective, so a few primal pivots may remain
+	// before the vertex is optimal for the real one. lpUnbounded is sound
+	// from a primal-feasible basis and needs no vertex.
+	st, it := s.iterate(p.c, deadline)
+	iters += it
+	if st != lpOptimal {
+		return lpSolution{status: st, iters: iters}
 	}
-
-	// probeOpen: the basis is primal feasible. Finish on the TRUE costs —
-	// the dual sweep priced a perturbed objective, so a few primal pivots
-	// may remain before the vertex is optimal for the real one.
-	st2, it2 := s.iterate(p.c, deadline)
-	sol.iters += it2
-	sol.counters = s.counters
-	switch st2 {
-	case lpTimeLimit:
-		sol.status = lpTimeLimit
-		return sol, probeFallback
-	case lpUnbounded:
-		// Sound from a primal-feasible basis, and the caller's unbounded
-		// handling does not need a vertex.
-		sol.status = lpUnbounded
-		return sol, probeOpen
-	case lpIterLimit, lpInfeasible:
-		// lpInfeasible here is iterate's tiny-pivot refactorization failure,
-		// not a feasibility verdict; both cases go to the cold path.
-		return sol, probeFallback
-	}
-	// Final cleanup solve, exactly as in solveLP: the reported vertex
-	// carries one FTRAN of rounding, not the eta-file drift.
-	if err := s.refactorize(); err != nil {
-		sol.counters = s.counters
-		return sol, probeFallback
-	}
-	x := make([]float64, p.nStruct)
-	copy(x, s.xval[:p.nStruct])
-	obj := 0.0
-	for j := 0; j < p.n; j++ {
-		obj += p.c[j] * s.xval[j]
-	}
-	sol.status = lpOptimal
-	sol.x = x
-	sol.obj = obj
-	sol.basis = s.snapshotBasis()
-	sol.counters = s.counters
-	return sol, probeOpen
+	return s.vertex(iters)
 }
 
 // certBox returns the per-column bounds used by the certificate
@@ -560,25 +485,27 @@ func (s *simplexState) certLowerBound(y []float64) float64 {
 }
 
 // dualFathom runs bounded-variable dual-simplex pivots from the current
-// basis until it is primal feasible (probeOpen), the node is fathomed, or the
-// pivot budget or deadline runs out (probeFallback). Each iteration it first
+// basis until it is primal feasible (lpOptimal), the node is fathomed
+// (lpCutoff, lpInfeasible), the pivot budget or the deadline runs out
+// (lpIterLimit, lpTimeLimit), or a fallback-ladder rung is hit
+// (lpNumerical). Each iteration it first
 // tries to fathom on the Lagrangian bound certLowerBound(y) computed for the
 // current basis's dual values y: weak duality makes it a valid relaxation
 // bound for ANY y, so cutoff fathoming is safe whether or not the basis is
 // (numerically) dual-feasible — the certificate evaluation against the
 // original matrix data, not the drifted simplex iterates, is what carries
 // the proof.
-func (s *simplexState) dualFathom(incObj, gcdStep, objOffset float64, budget int, deadline time.Time) (probeOutcome, int) {
+func (s *simplexState) dualFathom(incObj, gcdStep, objOffset float64, budget int, deadline time.Time) (lpStatus, int) {
 	p := s.p
 	y, w, rho := s.y, s.w, s.rho
 	sincePivot := 0
 
 	for iters := 0; ; iters++ {
 		if iters >= budget {
-			return probeFallback, iters
+			return lpIterLimit, iters
 		}
 		if !deadline.IsZero() && iters%deadlinePollEvery == 0 && time.Now().After(deadline) {
-			return probeFallback, iters
+			return lpTimeLimit, iters
 		}
 
 		// Dual values y = B^-T c_B for the (perturbed) phase-2 costs.
@@ -597,7 +524,7 @@ func (s *simplexState) dualFathom(incObj, gcdStep, objOffset float64, budget int
 		// (margin included) below the true relaxation optimum: if the warm
 		// solve fathoms, a full solve would have been pruned too.
 		if zb > incObj-1e-9 {
-			return probeCutoff, iters
+			return lpCutoff, iters
 		}
 
 		// Leaving row: worst primal bound violation; ties keep the first
@@ -617,7 +544,7 @@ func (s *simplexState) dualFathom(incObj, gcdStep, objOffset float64, budget int
 		}
 		if r == -1 {
 			// Primal feasible below the cutoff: the node must be expanded.
-			return probeOpen, iters
+			return lpOptimal, iters
 		}
 		bv := s.basis[r]
 		// Pivot row r of B^-1 A, gathered sparsely through one BTRAN and the
@@ -682,9 +609,9 @@ func (s *simplexState) dualFathom(incObj, gcdStep, objOffset float64, budget int
 			// borderline or unverifiable cases go to the cold path for an
 			// authoritative phase-1 answer.
 			if worst > certTrust && s.certInfeasible(rho) {
-				return probeInfeasible, iters
+				return lpInfeasible, iters
 			}
-			return probeFallback, iters
+			return lpNumerical, iters
 		}
 
 		// Pivot: w = B^-1 A_enter, step the entering variable so the
@@ -697,7 +624,7 @@ func (s *simplexState) dualFathom(incObj, gcdStep, objOffset float64, budget int
 		}
 		s.rep.ftran(w)
 		if math.Abs(w[r]) < pivotTol {
-			return probeFallback, iters
+			return lpNumerical, iters
 		}
 		t := (s.xval[bv] - target) / w[r]
 		for i := 0; i < p.m; i++ {
@@ -714,7 +641,7 @@ func (s *simplexState) dualFathom(incObj, gcdStep, objOffset float64, budget int
 		if sincePivot >= refactor {
 			sincePivot = 0
 			if err := s.refactorize(); err != nil {
-				return probeFallback, iters + 1
+				return lpNumerical, iters + 1
 			}
 		}
 	}
