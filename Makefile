@@ -33,8 +33,9 @@ letvet:
 # Benchmarks as run by the CI bench job, each diffed against its committed
 # snapshot: the solver benchmarks against BENCH_milp.json, the simulator
 # and robustness-margin benchmarks against BENCH_sim.json. Deterministic
-# counter drift (lp_iters, nodes, warm_hits, replays) means the solver
-# trajectory or the margin search changed; `make bench-update` refreshes
+# counter drift (lp_iters, nodes, warm_hits, warm_expands, eta_nnz,
+# ftran_avg_nnz, transfers, replays) means the solver trajectory or the
+# margin search changed; `make bench-update` refreshes
 # both snapshots after an intentional change. Both lanes record B/op and
 # allocs/op (-benchmem); those are reported, not gated.
 MILP_BENCH = BenchmarkWarmStartBnB|BenchmarkFastSearchBnB

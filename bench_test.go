@@ -16,8 +16,8 @@
 //	BenchmarkRobustness        robustness margins (beyond the paper)
 //
 // "transfers" is the proved OBJ-DMAT optimum, and lp_iters, warm_hits,
-// warm_expands and replays are deterministic counters; benchjson gates all
-// of them exactly.
+// warm_expands, eta_nnz, ftran_avg_nnz and replays are deterministic
+// counters; benchjson gates all of them exactly.
 package letdma
 
 import (

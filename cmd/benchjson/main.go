@@ -111,13 +111,14 @@ func parse(r io.Reader) (*Doc, error) {
 }
 
 // deterministicMetrics are values that are a pure function of the search
-// that produced them — the solver trajectory, the proved optimum
+// that produced them — the solver trajectory and its sparse-kernel activity
+// (eta-file entries, mean FTRAN result nonzeros), the proved optimum
 // ("transfers", equal on every engine), or the number of simulator replays
 // of the robustness-margin search: any drift means the search itself
 // changed, not the machine it ran on.
 var deterministicMetrics = map[string]bool{
 	"lp_iters": true, "nodes": true, "warm_hits": true, "warm_expands": true,
-	"transfers": true, "replays": true,
+	"eta_nnz": true, "ftran_avg_nnz": true, "transfers": true, "replays": true,
 }
 
 // fold aggregates repeated runs of the same benchmark (-count > 1): the

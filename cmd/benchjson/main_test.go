@@ -143,11 +143,11 @@ func TestReplaysDrift(t *testing.T) {
 }
 
 // TestSolverValuesDrift: "transfers" (the proved OBJ-DMAT optimum, on both
-// FastSearchBnB lanes) and "warm_expands" (a DFS counter of WarmStartBnB)
-// gate exactly. Every run in the committed BENCH_milp.json agrees on each
-// deterministic metric, both lanes report the same optimum, and a change
-// in either value is marked as drift while the timing of the same line is
-// not.
+// FastSearchBnB lanes), "warm_expands" (a DFS counter of WarmStartBnB) and
+// its sparse-kernel activity ("eta_nnz", "ftran_avg_nnz") gate exactly.
+// Every run in the committed BENCH_milp.json agrees on each deterministic
+// metric, both lanes report the same optimum, and a change in any of these
+// values is marked as drift while the timing of the same line is not.
 func TestSolverValuesDrift(t *testing.T) {
 	data, err := os.ReadFile("../../BENCH_milp.json")
 	if err != nil {
@@ -180,12 +180,13 @@ func TestSolverValuesDrift(t *testing.T) {
 	}
 
 	const lines = "BenchmarkFastSearchBnB/fast-2 \t 1\t 670439313 ns/op\t 4.000 transfers\n" +
-		"BenchmarkWarmStartBnB/warm-2 \t 1\t 538454572 ns/op\t 5687 lp_iters\t 38.00 warm_expands\t 15.00 warm_hits\n"
+		"BenchmarkWarmStartBnB/warm-2 \t 1\t 538454572 ns/op\t 1257507 eta_nnz\t 223.9 ftran_avg_nnz\t 5687 lp_iters\t 38.00 warm_expands\t 15.00 warm_hits\n"
 	snapshot := filepath.Join(t.TempDir(), "BENCH_milp.json")
 	if err := run([]string{"-o", snapshot}, strings.NewReader(lines), &bytes.Buffer{}); err != nil {
 		t.Fatal(err)
 	}
 	fresh := strings.NewReplacer("4.000 transfers", "5.000 transfers", "38.00 warm_expands", "39.00 warm_expands",
+		"1257507 eta_nnz", "1257508 eta_nnz", "223.9 ftran_avg_nnz", "224.0 ftran_avg_nnz",
 		"670439313", "370439313", "538454572", "938454572").Replace(lines)
 	var out bytes.Buffer
 	if err := run([]string{"-diff", snapshot}, strings.NewReader(fresh), &out); err != nil {
@@ -197,7 +198,7 @@ func TestSolverValuesDrift(t *testing.T) {
 			drifted = append(drifted, strings.Fields(line)[1])
 		}
 	}
-	if strings.Join(drifted, ",") != "transfers,warm_expands" {
-		t.Fatalf("want exactly the transfers and warm_expands rows marked as drift, got %q:\n%s", drifted, out.String())
+	if strings.Join(drifted, ",") != "transfers,eta_nnz,ftran_avg_nnz,warm_expands" {
+		t.Fatalf("want exactly the transfers, eta_nnz, ftran_avg_nnz and warm_expands rows marked as drift, got %q:\n%s", drifted, out.String())
 	}
 }

@@ -41,7 +41,7 @@ func runDetrange(pass *Pass) error {
 		}
 		// Waiver check comes after effect detection: a waiver only counts
 		// as used when it suppresses a real finding (stalewaiver contract).
-		if node, what := orderDependentEffect(pass, rs.Body); node != nil && !pass.waiverFor(rs, "ordered") {
+		if node, what := orderDependentEffect(pass, rs); node != nil && !pass.waiverFor(rs, "ordered") {
 			pass.Reportf(rs.Pos(), "range over map has order-dependent effect (%s); iterate sorted keys (ordered.Keys) or waive with //letvet:ordered", what)
 		}
 		return true
@@ -55,11 +55,22 @@ func runDetrange(pass *Pass) error {
 // receivers, or calls that draw from a surrounding *rand.Rand (as the
 // receiver or as an argument). Writes into surrounding *maps* are exempt — a
 // keyed store commutes when the keys differ, and identical keys would be a
-// logic bug regardless of order.
-func orderDependentEffect(pass *Pass, body *ast.BlockStmt) (ast.Node, string) {
+// logic bug regardless of order. So are the key and value of a `:=` range:
+// they are declared before the body but are fresh in every iteration.
+func orderDependentEffect(pass *Pass, rs *ast.RangeStmt) (ast.Node, string) {
+	body := rs.Body
 	lo, hi := body.Pos(), body.End()
+	perIteration := map[types.Object]bool{}
+	if rs.Tok == token.DEFINE {
+		for _, e := range []ast.Expr{rs.Key, rs.Value} {
+			if id, ok := e.(*ast.Ident); ok && pass.TypesInfo.Defs[id] != nil {
+				perIteration[pass.TypesInfo.Defs[id]] = true
+			}
+		}
+	}
 	outer := func(id *ast.Ident) bool {
-		return id != nil && id.Name != "_" && declaredOutside(pass.TypesInfo, id, lo, hi)
+		return id != nil && id.Name != "_" && !perIteration[pass.TypesInfo.Uses[id]] &&
+			declaredOutside(pass.TypesInfo, id, lo, hi)
 	}
 	var found ast.Node
 	var what string

@@ -122,3 +122,22 @@ func perKeySeed(seeds map[string]int64, out map[string]int) {
 		out[name] = r.Intn(10)
 	}
 }
+
+// The range statement's own := key and value are per-iteration variables:
+// updating them is not surrounding state.
+func perIterationValue(req map[int]int, out map[int]int) {
+	for m, bytes := range req {
+		bytes--
+		out[m] = bytes
+	}
+}
+
+// A range that assigns with = writes the surrounding variables on every
+// iteration, so the last key's value survives the loop: flagged.
+func lastValue(req map[int]int) int {
+	var m, bytes int
+	for m, bytes = range req { // want "order-dependent effect \\(update of bytes\\)"
+		bytes--
+	}
+	return m + bytes
+}

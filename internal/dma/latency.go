@@ -20,23 +20,6 @@ const (
 	AfterAllReadiness
 )
 
-// LastCommTransfer returns the index, within the induced schedule at t, of
-// the last transfer carrying a communication of task ti (its G^W or G^R),
-// and whether ti has any communication at t.
-func LastCommTransfer(a *let.Analysis, s *Schedule, t timeutil.Time, ti model.TaskID) (int, bool) {
-	induced, _ := s.InducedAt(a, t)
-	last, found := -1, false
-	for g, tr := range induced {
-		for _, z := range tr.Comms {
-			if a.Comms[z].Task == ti {
-				last, found = g, true
-				break
-			}
-		}
-	}
-	return last, found
-}
-
 // Latency returns the data-acquisition latency lambda_i of task ti at
 // instant t under the given readiness rule, using the accumulation
 // semantics of Constraint 9: each issued transfer costs lambda_O plus

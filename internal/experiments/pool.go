@@ -44,11 +44,3 @@ func forEachIndexed(n, workers int, fn func(i int) error) error {
 	}
 	return nil
 }
-
-// ForEach exposes the experiment fan-out pool to other packages with the
-// same contract as forEachIndexed: pre-indexed slots, deterministic
-// lowest-index error, inline for workers <= 1. The letdmad batch endpoint
-// rides it to canonicalize and hash a batch's job specs concurrently.
-func ForEach(n, workers int, fn func(i int) error) error {
-	return forEachIndexed(n, workers, fn)
-}

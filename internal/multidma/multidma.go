@@ -39,9 +39,6 @@ type Assignment struct {
 	Channels [][]int
 }
 
-// NumChannels returns the channel count.
-func (asg *Assignment) NumChannels() int { return len(asg.Channels) }
-
 // Timeline is the evaluated execution of an assignment at one activation
 // instant.
 type Timeline struct {

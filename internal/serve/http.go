@@ -5,8 +5,6 @@ import (
 	"errors"
 	"net/http"
 	"strconv"
-
-	"letdma/internal/experiments"
 )
 
 // retryAfterSeconds is the hint returned with 429/503 backpressure.
@@ -109,35 +107,17 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Canonicalize and hash concurrently (normalizeSpec round-trips the
-	// system JSON, the expensive part), then admit sequentially so
-	// journal order matches the request and the cap is enforced exactly.
-	type normed struct {
-		spec JobSpec
-		key  string
-		err  error
-	}
-	norm := make([]normed, len(req.Jobs))
-	if err := experiments.ForEach(len(req.Jobs), 0, func(i int) error {
-		spec, canon, err := normalizeSpec(req.Jobs[i])
+	// Canonicalize, hash and admit the jobs one by one in request order,
+	// so journal order matches the request and the cap is enforced
+	// exactly. A bad entry fails alone, not the batch.
+	entries := make([]batchEntry, len(req.Jobs))
+	for i, job := range req.Jobs {
+		spec, canon, err := normalizeSpec(job)
 		if err != nil {
-			norm[i] = normed{err: err}
-			return nil // per-entry error, not a batch failure
-		}
-		norm[i] = normed{spec: spec, key: jobKey(canon, spec)}
-		return nil
-	}); err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-
-	entries := make([]batchEntry, len(norm))
-	for i, n := range norm {
-		if n.err != nil {
-			entries[i] = batchEntry{Error: n.err.Error()}
+			entries[i] = batchEntry{Error: err.Error()}
 			continue
 		}
-		st, err := s.admit(n.spec, n.key)
+		st, err := s.admit(spec, jobKey(canon, spec))
 		if err != nil {
 			entries[i] = batchEntry{Error: err.Error()}
 			continue

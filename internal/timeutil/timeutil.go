@@ -41,9 +41,6 @@ func FromDuration(d time.Duration) Time { return Time(d.Nanoseconds()) }
 // Float64Us converts t to floating-point microseconds, for reporting only.
 func (t Time) Float64Us() float64 { return float64(t) / float64(Microsecond) }
 
-// Float64Ms converts t to floating-point milliseconds, for reporting only.
-func (t Time) Float64Ms() float64 { return float64(t) / float64(Millisecond) }
-
 // String renders t with an adaptive unit, for logs and test failures.
 func (t Time) String() string {
 	switch {

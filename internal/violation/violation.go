@@ -144,19 +144,6 @@ func (l List) Filter(code Code) List {
 	return out
 }
 
-// Codes returns the distinct codes present, in first-appearance order.
-func (l List) Codes() []Code {
-	seen := make(map[Code]bool, len(l))
-	var out []Code
-	for _, v := range l {
-		if !seen[v.Code] {
-			seen[v.Code] = true
-			out = append(out, v.Code)
-		}
-	}
-	return out
-}
-
 // String renders the list one violation per line.
 func (l List) String() string {
 	var b strings.Builder
