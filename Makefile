@@ -24,11 +24,10 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# Full analyzer suite, test files included, against the committed baseline
-# (currently empty: zero findings enforced). Same invocation as the CI
-# letvet job, minus the annotation/artifact plumbing.
+# Full analyzer suite, test files included; every finding fails. Same
+# invocation as the CI letvet job, minus the annotation/artifact plumbing.
 letvet:
-	$(GO) run ./cmd/letvet -tests -baseline letvet.baseline.json ./...
+	$(GO) run ./cmd/letvet -tests ./...
 
 # Benchmarks as run by the CI bench job, each diffed against its committed
 # snapshot: the solver benchmarks against BENCH_milp.json, the simulator

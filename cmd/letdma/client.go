@@ -31,7 +31,7 @@ func cmdSubmit(args []string) error {
 	solver := fs.String("solver", "comb", "solver: comb | milp")
 	slots := fs.Int("slots", 0, "MILP transfer slots (0 = |C(s0)|)")
 	fast := fs.Bool("fast", false, "use the FastSearch MILP engine (the daemon certifies every result)")
-	workers := fs.Int("workers", 0, "solver worker goroutines; branch-and-bound uses them only with -fast (not part of the job key)")
+	workers := fs.Int("workers", 0, "FastSearch branch-and-bound workers, read only with -fast (not part of the job key)")
 	milpTimeout := fs.Duration("milp-timeout", 0, "MILP time limit per solve (0 = daemon default)")
 	deadline := fs.Duration("deadline", 0, "per-job wall-clock deadline; on expiry the job completes with its anytime incumbent (0 = daemon default)")
 	wait := fs.Bool("wait", false, "poll until the job is terminal and print the final status")

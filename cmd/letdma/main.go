@@ -213,7 +213,7 @@ func commonFlags(fs *flag.FlagSet) *common {
 		solver:  fs.String("solver", "comb", "solver: comb | milp"),
 		timeout: fs.Duration("timeout", 0, "wall-clock budget for the whole command: when it expires the solver stops at the next boundary and reports the incumbent anytime solution (exit code 3); each MILP solve additionally keeps its 60s default time limit (0 = no budget)"),
 		slots:   fs.Int("slots", 0, "MILP transfer slots (0 = |C(s0)|)"),
-		workers: fs.Int("workers", 0, "worker goroutines for experiment fan-out, and for branch-and-bound with -fast only (0 = sequential; without -fast, results are identical for every count)"),
+		workers: fs.Int("workers", 0, "FastSearch branch-and-bound workers, read only with -fast (0 or 1 = one worker)"),
 		fast:    fs.Bool("fast", false, "use the work-stealing FastSearch MILP engine: same certified optimum, faster wall clock, but node order (and which of several tied optima is returned) depends on goroutine scheduling — audit results with 'verify -fast'"),
 		milplog: fs.Bool("milplog", false, "write MILP solver progress and kernel counters (warm hits, cold fallbacks, phase-1 iterations, LU refactorizations, ftran/btran sparsity, eta-file growth) to stderr"),
 	}
@@ -277,7 +277,7 @@ func cmdFig2(args []string) error {
 	fs := flag.NewFlagSet("fig2", flag.ExitOnError)
 	c := commonFlags(fs)
 	csvOut := fs.Bool("csv", false, "emit CSV instead of the text table")
-	all := fs.Bool("all", false, "render every objective at alphas 0.2 and 0.4 (the paper's six panels); -workers fans the panels out")
+	all := fs.Bool("all", false, "render every objective at alphas 0.2 and 0.4 (the paper's six panels)")
 	_ = fs.Parse(args)
 	a, err := c.analysis()
 	if err != nil {
@@ -288,22 +288,27 @@ func cmdFig2(args []string) error {
 		return err
 	}
 	if *all {
-		panels, err := experiments.Fig2Sweep(a, []float64{0.2, 0.4}, nil, cfg)
-		if err != nil {
-			return err
-		}
-		for i, p := range panels {
-			if *csvOut {
-				if err := experiments.WriteFig2CSV(os.Stdout, p); err != nil {
+		first := true
+		for _, obj := range []dma.Objective{dma.NoObjective, dma.MinTransfers, dma.MinDelayRatio} {
+			for _, alpha := range []float64{0.2, 0.4} {
+				cfg.Objective, cfg.Alpha = obj, alpha
+				p, err := experiments.Fig2(a, cfg)
+				if err != nil {
 					return err
 				}
-				continue
-			}
-			if i > 0 {
-				fmt.Println()
-			}
-			if err := experiments.RenderFig2(os.Stdout, p); err != nil {
-				return err
+				if *csvOut {
+					if err := experiments.WriteFig2CSV(os.Stdout, p); err != nil {
+						return err
+					}
+					continue
+				}
+				if !first {
+					fmt.Println()
+				}
+				first = false
+				if err := experiments.RenderFig2(os.Stdout, p); err != nil {
+					return err
+				}
 			}
 		}
 		return nil
@@ -616,14 +621,12 @@ func cmdCampaign(args []string) error {
 	maxBytes := fs.Int64("maxbytes", 32<<10, "max random label size")
 	auto := fs.Bool("automotive", false, "use the KDB automotive benchmark generator")
 	csvOut := fs.Bool("csv", false, "emit CSV instead of the text table")
-	workers := fs.Int("workers", 0, "worker goroutines for the per-system feasibility checks (0 = sequential; rows are identical for every count)")
 	_ = fs.Parse(args)
 	rows, err := experiments.Campaign(experiments.CampaignConfig{
 		Systems:    *systems,
 		Seed:       *seed,
 		RandomOpts: waters.RandomOptions{MaxLabelBytes: *maxBytes},
 		Automotive: *auto,
-		Workers:    *workers,
 	})
 	if err != nil {
 		return err
@@ -652,7 +655,7 @@ func newVerifyFlags(fs *flag.FlagSet, defaultN int) *verifyFlags {
 		seed:       fs.Int64("seed", 1, "base generator seed (failures reproduce from it)"),
 		n:          fs.Int("n", defaultN, "number of scenarios to check"),
 		family:     fs.String("family", "", "restrict to one scenario family (harmonic | coprime | stars | single-core | saturated | extremes | deep-ties)"),
-		workers:    fs.Int("workers", 0, "worker goroutines for the combinatorial solver, and for branch-and-bound with -fast only (0 = sequential; reports are identical for every count)"),
+		workers:    fs.Int("workers", 0, "FastSearch branch-and-bound workers, read only with -fast (0 or 1 = one worker)"),
 		timeout:    fs.Duration("timeout", 5*time.Second, "MILP time limit per instance"),
 		exhaustive: fs.Int64("exhaustive", 0, "brute-force candidate budget (0 = harness default)"),
 		fast:       fs.Bool("fast", false, "also run the FastSearch MILP engine on every tractable instance, gated through the optimality certificate (verify.CheckOptimal)"),

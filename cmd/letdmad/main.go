@@ -59,7 +59,7 @@ func run(argv []string, sig <-chan os.Signal, ready chan<- string) int {
 	fs := flag.NewFlagSet("letdmad", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8355", "listen address")
 	journal := fs.String("journal", "letdmad.journal", "append-only job journal path (fsync'd; restart resumes from it)")
-	workers := fs.Int("workers", 2, "solver workers")
+	workers := fs.Int("workers", 2, "jobs solved concurrently")
 	queueCap := fs.Int("queue-cap", 64, "max incomplete admitted jobs before submissions get 429")
 	deadline := fs.Duration("deadline", 60*time.Second, "default per-job wall-clock deadline; expiry completes the job with its anytime incumbent")
 	retries := fs.Int("retries", 2, "max retries per job for transient faults (numerical-limit stops, failed optimality certificates)")

@@ -21,10 +21,8 @@
 //
 // CI plumbing: -o FILE writes the JSON report to FILE regardless of the
 // stdout format, -github emits `::error file=..` annotations so findings
-// land on the pull-request diff, and -baseline FILE subtracts the findings
-// recorded in a committed baseline (see letvet.baseline.json, currently
-// empty — the suite is enforced at zero findings). -write-baseline FILE
-// records the current findings and exits 0, for intentional re-baselining.
+// land on the pull-request diff. The suite is enforced at zero findings:
+// every finding fails the run.
 package main
 
 import (
@@ -38,7 +36,7 @@ import (
 	"letdma/internal/analysis"
 )
 
-// report is the schema of the -json output and of the baseline file.
+// report is the schema of the -json output and of the -o file.
 type report struct {
 	Findings []finding `json:"findings"`
 }
@@ -52,20 +50,12 @@ type finding struct {
 	Message  string `json:"message"`
 }
 
-// key identifies a finding for baseline subtraction: line and column are
-// excluded so unrelated edits above a baselined finding do not resurrect it.
-func (f finding) key() string {
-	return f.Analyzer + "\x00" + f.File + "\x00" + f.Message
-}
-
 func main() {
 	list := flag.Bool("list", false, "print the analyzers and exit")
 	tests := flag.Bool("tests", false, "also analyze _test.go files (external test packages included)")
 	jsonOut := flag.Bool("json", false, "print the findings as a JSON report instead of text lines")
 	outFile := flag.String("o", "", "write the JSON report to this file as well")
 	github := flag.Bool("github", false, "emit GitHub Actions ::error annotations for the findings")
-	baseline := flag.String("baseline", "", "subtract the findings recorded in this baseline file")
-	writeBaseline := flag.String("write-baseline", "", "record the current findings to this baseline file and exit 0")
 	flag.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: letvet [flags] [package patterns, default ./...]")
 		flag.PrintDefaults()
@@ -90,21 +80,6 @@ func main() {
 		fatalf("%v", err)
 	}
 	findings := toFindings(diags)
-
-	if *writeBaseline != "" {
-		if err := writeReport(*writeBaseline, findings); err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Fprintf(os.Stderr, "letvet: wrote %d finding(s) to %s\n", len(findings), *writeBaseline)
-		return
-	}
-	if *baseline != "" {
-		base, err := readBaseline(*baseline)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		findings = subtract(findings, base)
-	}
 	if *outFile != "" {
 		if err := writeReport(*outFile, findings); err != nil {
 			fatalf("%v", err)
@@ -172,35 +147,4 @@ func writeReport(path string, findings []finding) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-func readBaseline(path string) (*report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	r := new(report)
-	if err := json.Unmarshal(data, r); err != nil {
-		return nil, fmt.Errorf("baseline %s: %w", path, err)
-	}
-	return r, nil
-}
-
-// subtract removes findings present in the baseline, counting multiplicity:
-// two identical findings in one file stay reported unless the baseline
-// records both.
-func subtract(findings []finding, base *report) []finding {
-	quota := make(map[string]int, len(base.Findings))
-	for _, f := range base.Findings {
-		quota[f.key()]++
-	}
-	var out []finding
-	for _, f := range findings {
-		if quota[f.key()] > 0 {
-			quota[f.key()]--
-			continue
-		}
-		out = append(out, f)
-	}
-	return out
 }

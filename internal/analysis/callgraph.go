@@ -9,7 +9,8 @@ import (
 // (DESIGN.md §13): it enumerates the package's function declarations in a
 // deterministic order, resolves call sites to their static callees, and
 // computes the goroutine-spawn summary that sharedwrite uses to see
-// through worker-pool plumbing like experiments.forEachIndexed.
+// through worker-pool plumbing like the sharedwrite fixture's
+// forEachIndexed, which runs its callback on the goroutines it starts.
 //
 // Scope and honesty: the graph covers statically-resolvable calls to
 // functions and methods declared in the package under analysis. Calls
@@ -124,8 +125,8 @@ func isFuncType(t types.Type) bool {
 // to another package function that does. The fixpoint makes the summary
 // transitive, so a wrapper that forwards its callback to a worker pool is
 // itself recognized as a spawner — this is how sharedwrite knows that a
-// closure given to experiments.forEachIndexed runs concurrently even
-// though no `go` keyword appears at the call site.
+// closure given to a worker pool (the fixture's forEachIndexed) runs
+// concurrently even though no `go` keyword appears at the call site.
 func computeSpawns(pass *Pass) map[*types.Func]uint64 {
 	decls, order := collectFuncs(pass)
 	spawns := make(map[*types.Func]uint64, len(order))

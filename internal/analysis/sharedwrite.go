@@ -10,20 +10,20 @@ import (
 // that escape to a goroutine — the function literal of a `go` statement,
 // or a literal handed to a function that (transitively) invokes it from a
 // goroutine, per the spawn summaries of callgraph.go; that second form is
-// how it sees through worker pools like experiments.forEachIndexed — and
-// flags every write to a captured variable inside them that has no
+// how it sees through worker pools like the fixture's forEachIndexed, a
+// helper that runs its callback on the goroutines it starts — and flags
+// every write to a captured variable inside them that has no
 // synchronization discipline. Such a write is a
 // data race, and even when it happens to survive the race detector it
-// makes results depend on goroutine scheduling, which is exactly what the
-// repository's Workers-invariance guarantee (bit-identical output for
-// every worker count, DESIGN.md §9) forbids.
+// makes results depend on goroutine scheduling, which the repository's
+// determinism guarantee (DESIGN.md §7) forbids.
 //
 // Two disciplines are recognized as safe:
 //
 //   - the pre-indexed slot: a write s[i] = v into a captured slice or
 //     array where the index is computed from the closure's own locals or
 //     parameters, so every invocation owns a disjoint slot (the
-//     forEachIndexed contract); and
+//     worker-pool contract, as in the fixture's forEachIndexed); and
 //   - a mutex guard: a write lexically preceded, within the closure, by a
 //     .Lock() call on a captured sync.Mutex/RWMutex.
 //

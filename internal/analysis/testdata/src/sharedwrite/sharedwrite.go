@@ -1,6 +1,6 @@
-// Fixture for the sharedwrite analyzer, modeled on the repository's
-// experiment worker pool: closures handed to forEachIndexed run on worker goroutines,
-// so unguarded writes to captured variables depend on goroutine schedule.
+// Fixture for the sharedwrite analyzer, modeled on a worker pool: closures
+// handed to forEachIndexed run on worker goroutines, so unguarded writes to
+// captured variables depend on goroutine schedule.
 package sharedwrite
 
 import (

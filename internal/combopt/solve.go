@@ -3,7 +3,6 @@ package combopt
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"letdma/internal/dma"
 	"letdma/internal/let"
@@ -27,12 +26,6 @@ type Options struct {
 	// Granularities to try, most aggressive first. Defaults to
 	// merged, bundled, per-comm.
 	Granularities []Granularity
-	// Workers > 1 explores the granularities concurrently. The fold over
-	// the per-granularity results stays in declaration order, so the
-	// returned solution is identical to the sequential one; speculative
-	// granularities that the sequential solver would have skipped are
-	// simply wasted wall-clock on spare cores.
-	Workers int
 }
 
 // Result is a feasible solution of the LET-DMA problem.
@@ -71,38 +64,10 @@ func SolveWithOptions(a *let.Analysis, cm dma.CostModel, gamma dma.Deadlines, ob
 		}
 	}
 
-	// With Workers > 1 all granularities are solved up front in parallel;
-	// the fold below then reads the precomputed slots instead of calling
-	// solveAt lazily. Result order and tie-breaking are unchanged.
-	type granOut struct {
-		res *Result
-		err error
-	}
-	var outs []granOut
-	if opts.Workers > 1 && len(opts.Granularities) > 1 {
-		outs = make([]granOut, len(opts.Granularities))
-		var wg sync.WaitGroup
-		for i, gran := range opts.Granularities {
-			wg.Add(1)
-			go func(i int, gran Granularity) {
-				defer wg.Done()
-				r, err := solveAt(a, cm, gamma, obj, gran)
-				outs[i] = granOut{res: r, err: err}
-			}(i, gran)
-		}
-		wg.Wait()
-	}
-
 	var best *Result
 	var firstErr error
-	for i, gran := range opts.Granularities {
-		var res *Result
-		var err error
-		if outs != nil {
-			res, err = outs[i].res, outs[i].err
-		} else {
-			res, err = solveAt(a, cm, gamma, obj, gran)
-		}
+	for _, gran := range opts.Granularities {
+		res, err := solveAt(a, cm, gamma, obj, gran)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err

@@ -201,15 +201,6 @@ func TestWorstLatencyAndRatios(t *testing.T) {
 	if w := WorstLatency(a, cm, s, slow, PerTaskReadiness); w != Latency(a, cm, s, 0, slow, PerTaskReadiness) {
 		t.Errorf("WorstLatency(slow) = %v", w)
 	}
-	all := AllWorstLatencies(a, cm, s, PerTaskReadiness)
-	if len(all) != 3 {
-		t.Fatalf("AllWorstLatencies length %d", len(all))
-	}
-	for _, task := range sys.Tasks {
-		if all[task.ID] != WorstLatency(a, cm, s, task.ID, PerTaskReadiness) {
-			t.Errorf("AllWorstLatencies mismatch for %s", task.Name)
-		}
-	}
 	r := MaxLatencyRatio(a, cm, s, PerTaskReadiness)
 	prod := sys.TaskByName("prod")
 	wantR := float64(Latency(a, cm, s, 0, prod.ID, PerTaskReadiness)) / float64(prod.Period)

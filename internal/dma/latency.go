@@ -75,16 +75,6 @@ func WorstLatency(a *let.Analysis, cm CostModel, s *Schedule, ti model.TaskID, r
 	return worst
 }
 
-// AllWorstLatencies returns WorstLatency for every task of the system,
-// indexed by TaskID.
-func AllWorstLatencies(a *let.Analysis, cm CostModel, s *Schedule, rule ReadinessRule) []timeutil.Time {
-	out := make([]timeutil.Time, len(a.Sys.Tasks))
-	for _, task := range a.Sys.Tasks {
-		out[task.ID] = WorstLatency(a, cm, s, task.ID, rule)
-	}
-	return out
-}
-
 // MaxLatencyRatio returns the objective value of Eq. (5): the maximum over
 // tasks of lambda_i / T_i at s0 under the given rule.
 func MaxLatencyRatio(a *let.Analysis, cm CostModel, s *Schedule, rule ReadinessRule) float64 {

@@ -32,12 +32,6 @@ type CampaignConfig struct {
 	Automotive bool
 	// AutoOpts shapes the automotive generator when Automotive is set.
 	AutoOpts waters.AutomotiveOptions
-	// Workers fans the per-system feasibility evaluations out across a
-	// goroutine pool (0 or 1 = sequential). System generation stays on one
-	// per-alpha seeded *rand.Rand consumed in system order, and counts are
-	// folded in system order, so the rows are identical for every worker
-	// count.
-	Workers int
 }
 
 // CampaignRow is the acceptance count of each approach at one alpha.
@@ -61,17 +55,10 @@ func Campaign(cfg CampaignConfig) ([]CampaignRow, error) {
 	}
 	cm := dma.DefaultCostModel()
 	cpuCM := dma.CPUCopyCostModel()
-
-	// Stage 1 (sequential, rand-dependent): draw every system from one
-	// per-alpha seeded generator, consumed in system order, so the
-	// instance streams are identical to the sequential run — and, since
-	// each alpha reseeds, identical across alphas too.
-	type instance struct {
-		alphaIdx int
-		sys      *model.System
-	}
-	instances := make([]instance, 0, len(cfg.Alphas)*cfg.Systems)
-	for i := range cfg.Alphas {
+	rows := make([]CampaignRow, len(cfg.Alphas))
+	for i, alpha := range cfg.Alphas {
+		row := &rows[i]
+		row.Alpha = alpha
 		rng := rand.New(rand.NewSource(cfg.Seed)) // same systems per alpha
 		for s := 0; s < cfg.Systems; s++ {
 			var sys *model.System
@@ -80,64 +67,25 @@ func Campaign(cfg CampaignConfig) ([]CampaignRow, error) {
 			} else {
 				sys = waters.Random(rng, cfg.RandomOpts)
 			}
-			instances = append(instances, instance{alphaIdx: i, sys: sys})
-		}
-	}
-
-	// Stage 2 (parallel, rand-free): evaluate every instance's
-	// feasibility under each approach into a pre-indexed slice.
-	type verdict struct {
-		schedulable bool
-		proposed    bool
-		dmaa        bool
-		cpu         bool
-	}
-	verdicts := make([]verdict, len(instances))
-	err := forEachIndexed(len(instances), cfg.Workers, func(idx int) error {
-		inst := instances[idx]
-		alpha := cfg.Alphas[inst.alphaIdx]
-		a, err := let.Analyze(inst.sys)
-		if err != nil {
-			return err
-		}
-		intf := rta.LETDemand(a, cm, dma.GiottoPerCommSchedule(a))
-		gamma, err := rta.Gammas(a, intf, alpha)
-		if err != nil {
-			return nil // not schedulable regardless of communication
-		}
-		v := verdict{schedulable: true}
-		if _, err := combopt.Solve(a, cm, gamma, dma.NoObjective); err == nil {
-			v.proposed = true
-		}
-		perComm := dma.GiottoPerCommSchedule(a)
-		v.dmaa = baselineFeasible(a, cm, perComm, gamma)
-		v.cpu = baselineFeasible(a, cpuCM, perComm, gamma)
-		verdicts[idx] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Stage 3 (sequential): fold the verdicts in instance order.
-	rows := make([]CampaignRow, len(cfg.Alphas))
-	for i, alpha := range cfg.Alphas {
-		rows[i].Alpha = alpha
-	}
-	for idx, v := range verdicts {
-		if !v.schedulable {
-			continue
-		}
-		r := &rows[instances[idx].alphaIdx]
-		r.Total++
-		if v.proposed {
-			r.Proposed++
-		}
-		if v.dmaa {
-			r.DMAA++
-		}
-		if v.cpu {
-			r.CPU++
+			a, err := let.Analyze(sys)
+			if err != nil {
+				return nil, err
+			}
+			perComm := dma.GiottoPerCommSchedule(a)
+			gamma, err := rta.Gammas(a, rta.LETDemand(a, cm, perComm), alpha)
+			if err != nil {
+				continue // not schedulable regardless of communication
+			}
+			row.Total++
+			if _, err := combopt.Solve(a, cm, gamma, dma.NoObjective); err == nil {
+				row.Proposed++
+			}
+			if baselineFeasible(a, cm, perComm, gamma) {
+				row.DMAA++
+			}
+			if baselineFeasible(a, cpuCM, perComm, gamma) {
+				row.CPU++
+			}
 		}
 	}
 	return rows, nil

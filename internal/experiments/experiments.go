@@ -15,6 +15,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -61,11 +62,8 @@ type Config struct {
 	MILPTimeLimit time.Duration
 	// Slots caps the MILP transfer slots (0 = |C(s0)|).
 	Slots int
-	// Workers bounds the experiment fan-out (Table I cells, Fig. 2 rows)
-	// and is passed through to the solvers: combopt explores granularities
-	// concurrently, and a FastSearch MILP runs that many workers. Without
-	// FastSearch, results are identical for every count. 0 or 1 is fully
-	// sequential.
+	// Workers is the FastSearch worker count (milp.Params.Workers). The
+	// combinatorial solver and the default depth-first MILP ignore it.
 	Workers int
 	// FastSearch switches the MILP to the nondeterministic work-stealing
 	// engine (milp.Params.FastSearch): same certified optimum, no
@@ -100,23 +98,21 @@ type Solved struct {
 	MILPStatus string
 	// Objective value under the configured objective.
 	Objective float64
+	// MILP is the raw MILP result, nil when only the combinatorial solver
+	// ran. Callers that certify the result read it together with Gamma:
+	// the letdmad service replays FastSearch incumbents through
+	// verify.CheckOptimal and reads Result.StopCause for its retry policy.
+	MILP *letopt.Result
 }
+
+// ErrInfeasible marks a SolveProposed failure in the combinatorial stage:
+// no layout and schedule meet the derived deadlines at any granularity
+// (e.g. the alpha = 0.1 configurations of Section VII).
+var ErrInfeasible = errors.New("infeasible")
 
 // SolveProposed derives gamma from the alpha-sensitivity procedure, runs
 // the configured solver(s) and returns the winning solution.
 func SolveProposed(a *let.Analysis, cfg Config) (*Solved, error) {
-	solved, _, _, err := SolveFull(a, cfg)
-	return solved, err
-}
-
-// SolveFull is SolveProposed plus the raw MILP result and the derived
-// gamma deadlines. Callers that certify or re-validate the result need
-// all three: the letdmad service gates FastSearch jobs through
-// verify.CheckOptimal, which replays the incumbent against (analysis,
-// gamma, objective) and cross-checks the raw milp status, and its retry
-// policy reads Result.StopCause. The MILP result is nil when only the
-// combinatorial solver ran.
-func SolveFull(a *let.Analysis, cfg Config) (*Solved, *letopt.Result, dma.Deadlines, error) {
 	cfg.fill()
 	cm := dma.DefaultCostModel()
 	intf := rta.LETDemand(a, cm, dma.GiottoPerCommSchedule(a))
@@ -125,15 +121,14 @@ func SolveFull(a *let.Analysis, cfg Config) (*Solved, *letopt.Result, dma.Deadli
 		var err error
 		gamma, err = rta.Gammas(a, intf, cfg.Alpha)
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("experiments: alpha=%.2f: %w", cfg.Alpha, err)
+			return nil, fmt.Errorf("experiments: alpha=%.2f: %w", cfg.Alpha, err)
 		}
 	}
 
 	start := time.Now()
-	comb, err := combopt.SolveWithOptions(a, cm, gamma, cfg.Objective,
-		combopt.Options{Workers: cfg.Workers})
+	comb, err := combopt.Solve(a, cm, gamma, cfg.Objective)
 	if err != nil {
-		return nil, nil, gamma, fmt.Errorf("experiments: alpha=%.2f infeasible: %w", cfg.Alpha, err)
+		return nil, fmt.Errorf("experiments: alpha=%.2f %w: %w", cfg.Alpha, ErrInfeasible, err)
 	}
 	solved := &Solved{
 		Layout:       comb.Layout,
@@ -143,7 +138,6 @@ func SolveFull(a *let.Analysis, cfg Config) (*Solved, *letopt.Result, dma.Deadli
 		Objective:    comb.Objective,
 		SolveTime:    time.Since(start),
 	}
-	var milpRes *letopt.Result
 	if cfg.Solver == SolverMILP {
 		res, err := letopt.Solve(a, cm, gamma, cfg.Objective, letopt.Options{
 			Slots:      cfg.Slots,
@@ -152,9 +146,9 @@ func SolveFull(a *let.Analysis, cfg Config) (*Solved, *letopt.Result, dma.Deadli
 			WarmSched:  comb.Sched,
 		})
 		if err != nil {
-			return nil, nil, gamma, err
+			return nil, err
 		}
-		milpRes = res
+		solved.MILP = res
 		solved.SolveTime = time.Since(start)
 		solved.MILPStatus = res.Status.String()
 		if res.Sched != nil {
@@ -164,7 +158,7 @@ func SolveFull(a *let.Analysis, cfg Config) (*Solved, *letopt.Result, dma.Deadli
 			solved.Objective = res.Objective
 		}
 	}
-	return solved, milpRes, gamma, nil
+	return solved, nil
 }
 
 // Fig2Row holds the four per-task worst-case data-acquisition latencies.
@@ -231,63 +225,17 @@ func Fig2(a *let.Analysis, cfg Config) (*Fig2Result, error) {
 	perComm := dma.GiottoPerCommSchedule(a)
 	dmaB := dma.GiottoReorder(a, solved.Sched)
 
-	// One cell per (task, baseline) pair; the rows are pre-indexed so the
-	// parallel fan-out cannot reorder the rendered table.
-	tasks := tasksByName(a.Sys)
 	out := &Fig2Result{Alpha: cfg.Alpha, Objective: cfg.Objective, Solved: solved}
-	out.Rows = make([]Fig2Row, len(tasks))
-	if err := forEachIndexed(len(tasks), cfg.Workers, func(i int) error {
-		task := tasks[i]
-		out.Rows[i] = Fig2Row{
+	for _, task := range tasksByName(a.Sys) {
+		out.Rows = append(out.Rows, Fig2Row{
 			Task:     task.Name,
 			Proposed: dma.WorstLatency(a, cm, solved.Sched, task.ID, dma.PerTaskReadiness),
 			CPU:      dma.WorstLatency(a, cpuCM, perComm, task.ID, dma.AfterAllReadiness),
 			DMAA:     dma.WorstLatency(a, cm, perComm, task.ID, dma.AfterAllReadiness),
 			DMAB:     dma.WorstLatency(a, cm, dmaB, task.ID, dma.AfterAllReadiness),
-		}
-		return nil
-	}); err != nil {
-		return nil, err
+		})
 	}
 	return out, nil
-}
-
-// Fig2Sweep computes a whole grid of Fig. 2 panels — every objective ×
-// alpha combination, the paper's six panels for the default arguments —
-// fanning the panels out across base.Workers goroutines. Panels land in a
-// pre-indexed slice (objective-major, alpha-minor, like Table I), so the
-// rendered output is byte-identical to computing them one by one.
-func Fig2Sweep(a *let.Analysis, alphas []float64, objs []dma.Objective, base Config) ([]*Fig2Result, error) {
-	if len(objs) == 0 {
-		objs = []dma.Objective{dma.NoObjective, dma.MinTransfers, dma.MinDelayRatio}
-	}
-	type cell struct {
-		obj   dma.Objective
-		alpha float64
-	}
-	cells := make([]cell, 0, len(objs)*len(alphas))
-	for _, obj := range objs {
-		for _, alpha := range alphas {
-			cells = append(cells, cell{obj, alpha})
-		}
-	}
-	panels := make([]*Fig2Result, len(cells))
-	err := forEachIndexed(len(cells), base.Workers, func(i int) error {
-		cfg := base
-		cfg.Alpha = cells[i].alpha
-		cfg.Objective = cells[i].obj
-		cfg.Workers = 1 // the cells already saturate the pool
-		res, err := Fig2(a, cfg)
-		if err != nil {
-			return err
-		}
-		panels[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return panels, nil
 }
 
 // tasksByName returns the tasks ordered by task ID (stable across runs).
@@ -329,41 +277,27 @@ type TableIRow struct {
 }
 
 // TableI reproduces Table I: for each objective and alpha, the solver
-// running time and the number of DMA transfers at s0. The cells (objective
-// × alpha) fan out across base.Workers goroutines into a pre-indexed row
-// slice, so the rendered table is byte-identical to the sequential run.
+// running time and the number of DMA transfers at s0. Rows are
+// objective-major, alpha-minor.
 func TableI(a *let.Analysis, alphas []float64, base Config) ([]TableIRow, error) {
-	type cell struct {
-		obj   dma.Objective
-		alpha float64
-	}
-	var cells []cell
+	var rows []TableIRow
 	for _, obj := range []dma.Objective{dma.NoObjective, dma.MinTransfers, dma.MinDelayRatio} {
 		for _, alpha := range alphas {
-			cells = append(cells, cell{obj, alpha})
+			cfg := base
+			cfg.Alpha = alpha
+			cfg.Objective = obj
+			solved, err := SolveProposed(a, cfg)
+			if err != nil {
+				return nil, err
+			}
+			rows = append(rows, TableIRow{
+				Objective:    obj,
+				Alpha:        alpha,
+				SolveTime:    solved.SolveTime,
+				NumTransfers: solved.NumTransfers,
+				MILPStatus:   solved.MILPStatus,
+			})
 		}
-	}
-	rows := make([]TableIRow, len(cells))
-	err := forEachIndexed(len(cells), base.Workers, func(i int) error {
-		cfg := base
-		cfg.Alpha = cells[i].alpha
-		cfg.Objective = cells[i].obj
-		cfg.Workers = 1 // the cells already saturate the pool
-		solved, err := SolveProposed(a, cfg)
-		if err != nil {
-			return err
-		}
-		rows[i] = TableIRow{
-			Objective:    cells[i].obj,
-			Alpha:        cells[i].alpha,
-			SolveTime:    solved.SolveTime,
-			NumTransfers: solved.NumTransfers,
-			MILPStatus:   solved.MILPStatus,
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return rows, nil
 }

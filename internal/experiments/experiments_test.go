@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -87,11 +88,32 @@ func TestSolveProposedMILPLite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if solved.MILPStatus == "" {
-		t.Error("MILP status missing")
+	if solved.MILPStatus == "" || solved.MILP == nil {
+		t.Error("MILP status or result missing")
 	}
 	if err := dma.Validate(a, dma.DefaultCostModel(), solved.Layout, solved.Sched, solved.Gamma); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSolveProposedInfeasible: a combinatorial-stage failure wraps
+// ErrInfeasible and keeps its rendered text; a comb-only solve carries no
+// MILP result.
+func TestSolveProposedInfeasible(t *testing.T) {
+	a := liteAnalysis(t)
+	_, err := SolveProposed(a, Config{Alpha: 0.01, Objective: dma.MinDelayRatio})
+	if !errors.Is(err, ErrInfeasible) {
+		t.Fatalf("alpha=0.01: err = %v, want ErrInfeasible", err)
+	}
+	if !strings.HasPrefix(err.Error(), "experiments: alpha=0.01 infeasible: combopt: ") {
+		t.Errorf("error text = %q", err)
+	}
+	solved, err := SolveProposed(a, Config{Alpha: 0.3, Objective: dma.MinDelayRatio})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if solved.MILP != nil {
+		t.Error("comb-only solve carries a MILP result")
 	}
 }
 

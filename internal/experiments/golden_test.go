@@ -17,9 +17,8 @@ import (
 var update = flag.Bool("update", false, "rewrite the testdata/ golden files")
 
 // checkGolden byte-compares got against testdata/<name> (or rewrites the
-// file under -update). Byte equality is the point: the parallel fan-out
-// must not be able to reorder or reformat a single cell of the rendered
-// tables.
+// file under -update). Byte equality is the point: no change may reorder
+// or reformat a single cell of the rendered tables.
 func checkGolden(t *testing.T, name string, got []byte) {
 	t.Helper()
 	path := filepath.Join("testdata", name)
@@ -85,47 +84,4 @@ func TestRenderTableIGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "tablei_lite.golden", buf.Bytes())
-}
-
-// TestFanOutWorkersInvariant requires the parallel experiment fan-out to
-// produce byte-identical renderings for every worker count: Table I cells,
-// the Fig. 2 sweep and the campaign rows must not depend on scheduling.
-func TestFanOutWorkersInvariant(t *testing.T) {
-	a := liteAnalysis(t)
-	alphas := []float64{0.2, 0.4}
-
-	renderTableI := func(workers int) string {
-		rows, err := TableI(a, alphas, Config{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range rows {
-			rows[i].SolveTime = 0
-		}
-		var buf bytes.Buffer
-		if err := RenderTableI(&buf, rows, alphas); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
-	}
-	if seq, par := renderTableI(1), renderTableI(4); seq != par {
-		t.Errorf("Table I differs between 1 and 4 workers:\n%s\nvs\n%s", seq, par)
-	}
-
-	renderSweep := func(workers int) string {
-		panels, err := Fig2Sweep(a, alphas, nil, Config{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		for _, p := range panels {
-			if err := RenderFig2(&buf, normalizeFig2(p)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return buf.String()
-	}
-	if seq, par := renderSweep(1), renderSweep(4); seq != par {
-		t.Errorf("Fig. 2 sweep differs between 1 and 4 workers:\n%s\nvs\n%s", seq, par)
-	}
 }

@@ -80,9 +80,7 @@ var robustProtocols = []sim.Protocol{sim.Proposed, sim.GiottoCPU, sim.GiottoDMAA
 
 // Robustness solves the proposed schedule once and computes the
 // robustness margin of every protocol under the same seeded fault
-// scenarios. The per-protocol analyses fan out across cfg.Workers
-// goroutines into a pre-indexed slice, so the report is byte-identical
-// for every worker count.
+// scenarios, in the fixed row order of robustProtocols.
 func Robustness(a *let.Analysis, cfg Config, rcfg RobustnessConfig) (*RobustnessResult, error) {
 	rcfg.fill()
 	solved, err := SolveProposed(a, cfg)
@@ -90,14 +88,12 @@ func Robustness(a *let.Analysis, cfg Config, rcfg RobustnessConfig) (*Robustness
 		return nil, err
 	}
 	out := &RobustnessResult{
-		Seed:    rcfg.Seed,
-		Policy:  rcfg.Policy,
-		Rates:   rcfg.Rates,
-		Margins: make([]*faultsim.Margin, len(robustProtocols)),
-		Solved:  solved,
+		Seed:   rcfg.Seed,
+		Policy: rcfg.Policy,
+		Rates:  rcfg.Rates,
+		Solved: solved,
 	}
-	err = forEachIndexed(len(robustProtocols), cfg.Workers, func(i int) error {
-		proto := robustProtocols[i]
+	for _, proto := range robustProtocols {
 		mc := faultsim.MarginConfig{
 			Analysis:            a,
 			Cost:                dma.DefaultCostModel(),
@@ -116,13 +112,9 @@ func Robustness(a *let.Analysis, cfg Config, rcfg RobustnessConfig) (*Robustness
 		}
 		m, err := faultsim.ComputeMargin(mc)
 		if err != nil {
-			return fmt.Errorf("experiments: robustness %v: %w", proto, err)
+			return nil, fmt.Errorf("experiments: robustness %v: %w", proto, err)
 		}
-		out.Margins[i] = m
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		out.Margins = append(out.Margins, m)
 	}
 	return out, nil
 }

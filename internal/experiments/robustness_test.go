@@ -73,30 +73,6 @@ func TestRobustnessWatersGolden(t *testing.T) {
 	checkGolden(t, "robust_waters.golden", buf.Bytes())
 }
 
-// TestRobustnessWorkersInvariant: identical seed must give byte-identical
-// reports across worker counts and repeated runs — the acceptance
-// criterion for the seeded-fault determinism of the whole pipeline.
-func TestRobustnessWorkersInvariant(t *testing.T) {
-	a := liteAnalysis(t)
-	render := func(workers int) string {
-		res, err := Robustness(a, Config{Workers: workers, Alpha: 0.3}, liteRobustnessConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := RenderRobustness(&buf, res); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
-	}
-	first := render(0)
-	for _, workers := range []int{0, 1, 3} {
-		if got := render(workers); got != first {
-			t.Fatalf("robustness report differs at workers=%d:\n%s\nvs\n%s", workers, first, got)
-		}
-	}
-}
-
 // TestRobustnessPolicies: every degradation policy must produce a
 // complete report (all four protocols, all rates) without error.
 func TestRobustnessPolicies(t *testing.T) {

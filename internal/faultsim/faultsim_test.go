@@ -149,13 +149,24 @@ func TestFaultedRunsNeverPanic(t *testing.T) {
 	}
 }
 
+// testReplayer fills cfg and plans its replays, as ComputeMargin does.
+func testReplayer(t *testing.T, cfg MarginConfig) *replayer {
+	t.Helper()
+	cfg.fill()
+	r, err := newReplayer(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func TestCriticalSlowdownBounds(t *testing.T) {
 	a, sched := testAnalysis(t)
-	cfg := MarginConfig{
+	r := testReplayer(t, MarginConfig{
 		Analysis: a, Cost: dma.DefaultCostModel(), Sched: sched,
 		Protocol: sim.Proposed, MaxSlowdownPermille: 16000,
-	}
-	crit, err := CriticalSlowdown(cfg)
+	})
+	crit, err := r.criticalSlowdown()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,16 +174,11 @@ func TestCriticalSlowdownBounds(t *testing.T) {
 		t.Fatalf("critical slowdown %d < 1000: nominal run reported failing", crit)
 	}
 	// The boundary is exact: crit is clean, crit+1 (if below the cap) is not.
-	cfg.fill()
-	r, err := newReplayer(&cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ok, err := r.clean(crit)
 	if err != nil || !ok {
 		t.Fatalf("clean(%d) = %v, %v; want clean", crit, ok, err)
 	}
-	if crit < cfg.MaxSlowdownPermille {
+	if crit < r.cfg.MaxSlowdownPermille {
 		ok, err := r.clean(crit + 1)
 		if err != nil || ok {
 			t.Fatalf("clean(%d) = %v, %v; want failing just past the margin", crit+1, ok, err)
@@ -188,11 +194,11 @@ func TestSurvivalCurveDeterministic(t *testing.T) {
 		Rates: []float64{0.01, 0.2}, Trials: 8, Seed: 11,
 		Base: Model{JitterPermille: 100, Retries: 2, BackoffBase: us(10)},
 	}
-	c1, err := SurvivalCurve(cfg)
+	c1, err := testReplayer(t, cfg).survivalCurve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := SurvivalCurve(cfg)
+	c2, err := testReplayer(t, cfg).survivalCurve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,11 +239,7 @@ func TestComputeMarginAllProtocols(t *testing.T) {
 // [1000, MaxSlowdownPermille], probing both ends first.
 func bisectSlowdown(t *testing.T, cfg MarginConfig) int64 {
 	t.Helper()
-	cfg.fill()
-	r, err := newReplayer(&cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := testReplayer(t, cfg)
 	clean := func(permille int64) bool {
 		ok, err := r.clean(permille)
 		if err != nil {
@@ -245,7 +247,7 @@ func bisectSlowdown(t *testing.T, cfg MarginConfig) int64 {
 		}
 		return ok
 	}
-	lo, hi := int64(1000), cfg.MaxSlowdownPermille
+	lo, hi := int64(1000), r.cfg.MaxSlowdownPermille
 	switch {
 	case !clean(lo):
 		return 0
@@ -279,7 +281,7 @@ func TestCriticalSlowdownMatchesBisection(t *testing.T) {
 	for _, proto := range []sim.Protocol{sim.Proposed, sim.GiottoCPU, sim.GiottoDMAA, sim.GiottoDMAB} {
 		for _, limit := range []int64{1000, 1500, 2000, 8000, 16000, 1024000} {
 			cfg := MarginConfig{Analysis: a, Cost: cm, Sched: solved.Sched, Protocol: proto, MaxSlowdownPermille: limit}
-			got, err := CriticalSlowdown(cfg)
+			got, err := testReplayer(t, cfg).criticalSlowdown()
 			if err != nil {
 				t.Fatal(err)
 			}

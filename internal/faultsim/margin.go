@@ -175,22 +175,13 @@ func (r *replayer) clean(permille int64) (bool, error) {
 	return true, nil
 }
 
-// CriticalSlowdown finds the largest uniform copy slowdown (permille) in
+// criticalSlowdown finds the largest uniform copy slowdown (permille) in
 // [1000, MaxSlowdownPermille] whose fault-free run is clean. Failure is
 // monotone in the slowdown for these replay semantics, so a doubling
 // gallop from 1000 brackets the boundary and a bisection of the bracket
 // finds it exactly. A margin of m permille costs about log2(m/1000) + 2
 // gallop replays plus log2(m/2) bisection replays, so the search is
 // cheapest for the small margins real schedules have.
-func CriticalSlowdown(cfg MarginConfig) (int64, error) {
-	cfg.fill()
-	r, err := newReplayer(&cfg)
-	if err != nil {
-		return 0, err
-	}
-	return r.criticalSlowdown()
-}
-
 func (r *replayer) criticalSlowdown() (int64, error) {
 	lo := int64(1000)
 	ok, err := r.clean(lo)
@@ -247,18 +238,9 @@ func trialSeed(seed int64, rateIdx, trial int) int64 {
 	return int64(h)
 }
 
-// SurvivalCurve runs Trials seeded fault scenarios at each error rate
+// survivalCurve runs Trials seeded fault scenarios at each error rate
 // and counts the runs that finished with zero deadline misses, zero
 // Property-3 violations and no halt.
-func SurvivalCurve(cfg MarginConfig) ([]SurvivalPoint, error) {
-	cfg.fill()
-	r, err := newReplayer(&cfg)
-	if err != nil {
-		return nil, err
-	}
-	return r.survivalCurve()
-}
-
 func (r *replayer) survivalCurve() ([]SurvivalPoint, error) {
 	cfg := r.cfg
 	curve := make([]SurvivalPoint, len(cfg.Rates))

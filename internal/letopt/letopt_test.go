@@ -266,21 +266,19 @@ func TestCapacityShortCircuit(t *testing.T) {
 func TestSlotsCapRestrictsModel(t *testing.T) {
 	a := chainSystem(t)
 	cm := dma.DefaultCostModel()
-	v1, c1, err := ModelSize(a, cm, nil, dma.NoObjective, 0)
-	if err != nil {
-		t.Fatal(err)
+	size := func(slots int) (vars, cons int) {
+		f, err := newFormulation(a, cm, nil, dma.NoObjective, slots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f.m.NumVars(), f.m.NumCons()
 	}
-	v2, c2, err := ModelSize(a, cm, nil, dma.NoObjective, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v1, c1 := size(0)
+	v2, c2 := size(5)
 	if v1 != v2 || c1 != c2 {
 		t.Errorf("slots=0 should default to |C(s0)|=5: (%d,%d) vs (%d,%d)", v1, c1, v2, c2)
 	}
-	v3, _, err := ModelSize(a, cm, nil, dma.NoObjective, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v3, _ := size(3)
 	if v3 >= v1 {
 		t.Errorf("capping slots should shrink the model: %d vs %d vars", v3, v1)
 	}

@@ -135,13 +135,3 @@ func WriteLP(w io.Writer, a *let.Analysis, cm dma.CostModel, gamma dma.Deadlines
 	}
 	return f.m.WriteLP(w)
 }
-
-// ModelSize reports the variable and constraint counts of the formulation
-// for the given configuration without solving it.
-func ModelSize(a *let.Analysis, cm dma.CostModel, gamma dma.Deadlines, obj dma.Objective, slots int) (vars, cons int, err error) {
-	f, err := newFormulation(a, cm, gamma, obj, slots)
-	if err != nil {
-		return 0, 0, err
-	}
-	return f.m.NumVars(), f.m.NumCons(), nil
-}

@@ -41,10 +41,10 @@ type JobSpec struct {
 	// results are certified server-side by verify.CheckOptimal before
 	// they are cached; a failed certificate is a retryable fault.
 	Fast bool `json:"fast,omitempty"`
-	// Workers is the solver worker count: combopt's granularity fan-out
-	// and, with Fast, the FastSearch workers; the depth-first MILP ignores
-	// it. It does NOT enter the job key: every engine returns the same
-	// certified optimum for every count.
+	// Workers is the FastSearch worker count, read only with Fast; the
+	// combinatorial solver and the depth-first MILP ignore it. It does NOT
+	// enter the job key: FastSearch returns the same certified optimum
+	// for every count.
 	Workers int `json:"workers,omitempty"`
 	// MILPTimeLimit bounds each MILP solve (0 = the 60s default).
 	MILPTimeLimit time.Duration `json:"milp_time_limit_ns,omitempty"`

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -200,11 +201,11 @@ func (s *Server) solve(spec JobSpec, stopper *Stopper) (*JobResult, string) {
 	if err != nil {
 		return &JobResult{State: StateFailed, Error: err.Error()}, ""
 	}
-	solved, milpRes, gamma, err := experiments.SolveFull(a, cfg)
+	solved, err := experiments.SolveProposed(a, cfg)
 	if err != nil {
 		// The combinatorial stage rejects infeasible instances (e.g. an
 		// alpha too tight for any layout) with a decided, cacheable error.
-		if strings.Contains(err.Error(), "infeasible") {
+		if errors.Is(err, experiments.ErrInfeasible) {
 			return &JobResult{State: StateInfeasible, Error: err.Error()}, ""
 		}
 		return &JobResult{State: StateFailed, Error: err.Error()}, ""
@@ -216,6 +217,7 @@ func (s *Server) solve(spec JobSpec, stopper *Stopper) (*JobResult, string) {
 		NumTransfers: solved.NumTransfers,
 		Schedule:     renderSchedule(a, solved.Sched),
 	}
+	milpRes := solved.MILP
 	if milpRes == nil {
 		// Combinatorial-only solve: complete and deterministic.
 		return res, ""
@@ -237,7 +239,7 @@ func (s *Server) solve(spec JobSpec, stopper *Stopper) (*JobResult, string) {
 		// result is certified before it can enter the cache. A failed
 		// certificate is treated as transient: the engine is allowed to be
 		// nondeterministic, not wrong, so the retry re-runs the search.
-		vs := verify.CheckOptimal(a, dma.DefaultCostModel(), gamma, cfg.Objective, milpRes,
+		vs := verify.CheckOptimal(a, dma.DefaultCostModel(), solved.Gamma, cfg.Objective, milpRes,
 			verify.OptimalOptions{TimeLimit: s.cfg.CertTimeLimit, Slots: spec.Slots})
 		if len(vs) > 0 {
 			return res, "optimality certificate failed: " + vs[0].String()

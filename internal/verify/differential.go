@@ -35,9 +35,8 @@ type Options struct {
 	// SimHyperperiods is how many hyperperiods the simulator replays when
 	// cross-checking measured against analytic latencies. Default 2.
 	SimHyperperiods int
-	// Workers is passed to the combinatorial solver and to the FastSearch
-	// lane (the depth-first MILP has no worker count); any value must
-	// yield byte-identical reports (asserted in tests).
+	// Workers is the FastSearch lane's worker count (milp.Params.Workers);
+	// only FastSearch reads it.
 	Workers int
 	// FastSearch additionally solves each MILP-tractable instance with
 	// the nondeterministic work-stealing engine (milp.Params.FastSearch)
@@ -161,7 +160,7 @@ func runSolvers(a *let.Analysis, cm dma.CostModel, gamma dma.Deadlines, obj dma.
 	var res solverRuns
 
 	rep.ran("combopt")
-	res.comb, res.combErr = combopt.SolveWithOptions(a, cm, gamma, obj, combopt.Options{Workers: opts.Workers})
+	res.comb, res.combErr = combopt.Solve(a, cm, gamma, obj)
 	if res.comb != nil {
 		rep.Violations.Merge("combopt/"+obj.String(), CheckSolution(a, cm, res.comb.Layout, res.comb.Sched, gamma))
 	}

@@ -1,12 +1,9 @@
 package verify
 
 import (
-	"reflect"
 	"testing"
 	"time"
 
-	"letdma/internal/combopt"
-	"letdma/internal/dma"
 	"letdma/internal/let"
 	"letdma/internal/sysgen"
 )
@@ -65,57 +62,6 @@ func TestCheckScenarioInfeasibleAgreement(t *testing.T) {
 		rep := CheckScenario(sc, quickOpts())
 		if len(rep.Violations) != 0 {
 			t.Errorf("%s: %s", sc.Name, rep.Violations)
-		}
-	}
-}
-
-// TestWorkerInvariance: the combinatorial solver returns identical
-// layouts, schedules and objectives for any worker count, and the
-// differential report is unchanged — the determinism contract behind
-// `letdma fuzz -workers`.
-func TestWorkerInvariance(t *testing.T) {
-	sc, err := sysgen.Generate(1, sysgen.Harmonic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := let.Analyze(sc.Sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cm := dma.DefaultCostModel()
-
-	var ref *combopt.Result
-	for _, workers := range []int{0, 1, 4} {
-		res, err := combopt.SolveWithOptions(a, cm, nil, dma.MinDelayRatio, combopt.Options{Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if ref == nil {
-			ref = res
-			continue
-		}
-		if !reflect.DeepEqual(res.Sched, ref.Sched) {
-			t.Errorf("workers=%d: schedule differs from sequential", workers)
-		}
-		if !reflect.DeepEqual(res.Layout, ref.Layout) {
-			t.Errorf("workers=%d: layout differs from sequential", workers)
-		}
-		if res.Objective != ref.Objective {
-			t.Errorf("workers=%d: objective %g != %g", workers, res.Objective, ref.Objective)
-		}
-	}
-
-	var refRep *Report
-	for _, workers := range []int{0, 1, 4} {
-		opts := quickOpts()
-		opts.Workers = workers
-		rep := CheckScenario(sc, opts)
-		if refRep == nil {
-			refRep = rep
-			continue
-		}
-		if !reflect.DeepEqual(rep, refRep) {
-			t.Errorf("workers=%d: differential report differs from sequential", workers)
 		}
 	}
 }
