@@ -288,7 +288,7 @@ func cmdFig2(args []string) error {
 		return err
 	}
 	if *all {
-		first := true
+		var panels []*experiments.Fig2Result
 		for _, obj := range []dma.Objective{dma.NoObjective, dma.MinTransfers, dma.MinDelayRatio} {
 			for _, alpha := range []float64{0.2, 0.4} {
 				cfg.Objective, cfg.Alpha = obj, alpha
@@ -296,19 +296,19 @@ func cmdFig2(args []string) error {
 				if err != nil {
 					return err
 				}
-				if *csvOut {
-					if err := experiments.WriteFig2CSV(os.Stdout, p); err != nil {
-						return err
-					}
-					continue
-				}
-				if !first {
-					fmt.Println()
-				}
-				first = false
-				if err := experiments.RenderFig2(os.Stdout, p); err != nil {
-					return err
-				}
+				panels = append(panels, p)
+			}
+		}
+		if *csvOut {
+			// One CSV table: a single header row over all six panels.
+			return experiments.WriteFig2CSV(os.Stdout, panels...)
+		}
+		for i, p := range panels {
+			if i > 0 {
+				fmt.Println()
+			}
+			if err := experiments.RenderFig2(os.Stdout, p); err != nil {
+				return err
 			}
 		}
 		return nil

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/csv"
 	"io"
 	"os"
 	"path/filepath"
@@ -260,4 +261,58 @@ func captureStderr(t *testing.T, f func() int) (int, string) {
 	w.Close()
 	os.Stdout, os.Stderr = oldOut, oldErr
 	return code, <-errc
+}
+
+// captureStdout runs f with stderr discarded and stdout captured, and
+// returns f's exit code with everything it wrote to stdout.
+func captureStdout(t *testing.T, f func() int) (int, string) {
+	t.Helper()
+	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer devnull.Close()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldOut, oldErr := os.Stdout, os.Stderr
+	os.Stdout, os.Stderr = w, devnull
+	outc := make(chan string)
+	go func() {
+		buf, _ := io.ReadAll(r)
+		outc <- string(buf)
+	}()
+	code := f()
+	w.Close()
+	os.Stdout, os.Stderr = oldOut, oldErr
+	return code, <-outc
+}
+
+// TestFig2AllCSVOneTable: `fig2 -all -csv` is one parseable CSV table —
+// a single header row followed by the rows of all six panels.
+func TestFig2AllCSVOneTable(t *testing.T) {
+	code, out := captureStdout(t, func() int { return run([]string{"fig2", "-all", "-lite", "-csv"}) })
+	if code != 0 {
+		t.Fatalf("exit code %d, want 0", code)
+	}
+	recs, err := csv.NewReader(strings.NewReader(out)).ReadAll()
+	if err != nil {
+		t.Fatalf("output is not one CSV table: %v", err)
+	}
+	headers := 0
+	panels := make(map[string]bool)
+	for _, rec := range recs {
+		if rec[0] == "objective" {
+			headers++
+			continue
+		}
+		panels[rec[0]+"@"+rec[1]] = true
+	}
+	if headers != 1 {
+		t.Errorf("%d header rows, want 1", headers)
+	}
+	if len(panels) != 6 {
+		t.Errorf("rows cover %d panels, want 6", len(panels))
+	}
 }
