@@ -85,3 +85,49 @@ func TestRenderTableIGolden(t *testing.T) {
 	}
 	checkGolden(t, "tablei_lite.golden", buf.Bytes())
 }
+
+// TestFig2WatersGolden pins the full-WATERS artifacts of Section VII with
+// the combinatorial solver: the six Fig. 2 panels as one CSV table (the
+// same bytes as `letdma fig2 -all -csv`, which CI diffs against the same
+// file), the Table I transfer counts (solve times normalized), and the
+// alpha sweep 0.1-0.5. Every latency, ratio, transfer count and max
+// lambda/T is pinned, so any change to schedule evaluation or to the
+// transfer order the solver picks shows up as a byte difference.
+func TestFig2WatersGolden(t *testing.T) {
+	a := fullAnalysis(t)
+	var panels []*Fig2Result
+	for _, obj := range []dma.Objective{dma.NoObjective, dma.MinTransfers, dma.MinDelayRatio} {
+		for _, alpha := range []float64{0.2, 0.4} {
+			res, err := Fig2(a, Config{Alpha: alpha, Objective: obj})
+			if err != nil {
+				t.Fatal(err)
+			}
+			panels = append(panels, res)
+		}
+	}
+	var buf bytes.Buffer
+	if err := WriteFig2CSV(&buf, panels...); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "fig2_waters_csv.golden", buf.Bytes())
+
+	alphas := []float64{0.2, 0.4}
+	rows, err := TableI(a, alphas, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range rows {
+		rows[i].SolveTime = time.Duration(i+1) * time.Millisecond // wall-clock normalized
+	}
+	buf.Reset()
+	if err := RenderTableI(&buf, rows, alphas); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "tablei_waters.golden", buf.Bytes())
+
+	buf.Reset()
+	if err := RenderSensitivity(&buf, Sensitivity(a, []float64{0.1, 0.2, 0.3, 0.4, 0.5}, Config{})); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "sensitivity_waters.golden", buf.Bytes())
+}
