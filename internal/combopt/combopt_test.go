@@ -1,7 +1,10 @@
 package combopt
 
 import (
+	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"letdma/internal/dma"
@@ -257,7 +260,7 @@ func TestExactNotWorseThanHeuristic(t *testing.T) {
 	trs := perCommTransfers(a)
 	pred := precedences(a, trs)
 	oo := buildOrderObjective(a, trs, nil, dma.MinDelayRatio)
-	_, exactVal, ok := orderExact(a, cm, trs, oo, pred)
+	_, exactVal, ok := orderExact(transferCosts(a, cm, trs), oo, pred, math.Inf(1))
 	if !ok {
 		t.Fatal("exact order not found")
 	}
@@ -266,6 +269,23 @@ func TestExactNotWorseThanHeuristic(t *testing.T) {
 	if exactVal > hVal+1e-12 {
 		t.Errorf("exact %g worse than heuristic %g", exactVal, hVal)
 	}
+}
+
+// evalOrder computes max_i lambda_i/denom_i for a finished schedule and
+// whether all caps hold.
+func evalOrder(a *let.Analysis, cm dma.CostModel, sched *dma.Schedule, oo *orderObjective) (float64, bool) {
+	var worst float64
+	okAll := true
+	for i, id := range oo.tasks {
+		lam := float64(dma.Latency(a, cm, sched, 0, id, dma.PerTaskReadiness))
+		if lam > oo.cap[i] {
+			okAll = false
+		}
+		if r := lam / oo.denom[i]; r > worst {
+			worst = r
+		}
+	}
+	return worst, okAll
 }
 
 // randomSystem builds a random feasible multicore system for fuzz-style
@@ -370,4 +390,72 @@ func TestTheorem1(t *testing.T) {
 	if checked < 15 {
 		t.Fatalf("only %d systems checked", checked)
 	}
+}
+
+// orderExactDense is the ordering DP over all 2^n subsets that orderExact
+// replaced, kept as the reference: orderExact must return the same order
+// and the same value bits.
+func orderExactDense(cost []int64, oo *orderObjective, pred []uint64) (order []int, val float64, ok bool) {
+	n := len(cost)
+	size := 1 << uint(n)
+	dp := make([]float64, size)
+	elapsed := make([]int64, size)
+	parent := make([]int32, size)
+	for i := range dp {
+		dp[i] = math.Inf(1)
+		parent[i] = -1
+	}
+	dp[0] = 0
+	full := uint64(size - 1)
+	for s := 0; s < size; s++ {
+		if math.IsInf(dp[s], 1) {
+			continue
+		}
+		su := uint64(s)
+		avail := full &^ su
+		for avail != 0 {
+			g := bits.TrailingZeros64(avail)
+			bit := uint64(1) << uint(g)
+			avail &^= bit
+			if pred[g]&^su != 0 {
+				continue
+			}
+			ns := su | bit
+			el := elapsed[s] + cost[g]
+			val := dp[s]
+			valid := true
+			for _, ti := range oo.lastIn[g] {
+				if oo.req[ti]&^ns != 0 {
+					continue
+				}
+				lam := float64(el)
+				if lam > oo.cap[ti] {
+					valid = false
+					break
+				}
+				if r := lam / oo.denom[ti]; r > val {
+					val = r
+				}
+			}
+			if !valid {
+				continue
+			}
+			if val < dp[ns]-1e-15 {
+				dp[ns] = val
+				elapsed[ns] = el
+				parent[ns] = int32(g)
+			}
+		}
+	}
+	if math.IsInf(dp[size-1], 1) {
+		return nil, 0, false
+	}
+	order = make([]int, 0, n)
+	for s := size - 1; s != 0; {
+		g := int(parent[s])
+		order = append(order, g)
+		s &^= 1 << uint(g)
+	}
+	slices.Reverse(order)
+	return order, dp[size-1], true
 }

@@ -1,14 +1,15 @@
 package combopt
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
+	"slices"
 
 	"letdma/internal/dma"
 	"letdma/internal/let"
 	"letdma/internal/model"
 	"letdma/internal/ordered"
-	"letdma/internal/timeutil"
 )
 
 // precedences computes, for each transfer, the bitmask of transfers that
@@ -102,83 +103,170 @@ func buildOrderObjective(a *let.Analysis, transfers []dma.Transfer, gamma dma.De
 }
 
 // MaxExactOrderDefault bounds the transfer count for the exact subset DP
-// (2^n states); larger sets fall back to the list-scheduling heuristic.
+// (up to 2^n states); larger sets fall back to the list-scheduling
+// heuristic.
 const MaxExactOrderDefault = 20
 
-// orderExact finds an order of the transfers minimizing
-// max_i lambda_i/denom_i subject to the precedences and lambda_i <= cap_i,
-// by dynamic programming over subsets. It returns the ordered transfer
-// indices and the objective value, or ok=false if no valid order exists.
-func orderExact(a *let.Analysis, cm dma.CostModel, transfers []dma.Transfer, oo *orderObjective, pred []uint64) (order []int, val float64, ok bool) {
-	n := len(transfers)
-	cost := make([]int64, n)
+// orderTieTol is the strict-improvement threshold of the ordering DP: a
+// candidate parent replaces the current one only if it lowers the value by
+// more than orderTieTol, so near-ties keep the first parent seen.
+const orderTieTol = 1e-15
+
+// cutoffMargin returns how far above the caller's cutoff a state's lower
+// bound must lie before orderExact drops it. Because of the orderTieTol
+// tie-break, the value the DP keeps for a state can sit up to one
+// orderTieTol per level above the best path to it, and a dropped candidate
+// can change which near-tied parent wins. A margin of 4(n+1)^2 tolerances
+// separates every dropped state from every state on the optimal path by
+// more than that drift accumulates over n levels, so whenever the optimum
+// beats the cutoff the surviving states, their values and their parents
+// are exactly those of the full DP.
+func cutoffMargin(n int) float64 { return 4 * float64((n+1)*(n+1)) * orderTieTol }
+
+// dpState is one reachable, precedence-closed subset of transfers in the
+// ordering DP: its best value so far, the elapsed time to complete the
+// subset (the same along every path), and the last transfer on the path
+// that reached the value.
+type dpState struct {
+	set     uint64
+	val     float64
+	elapsed int64
+	parent  int32
+}
+
+// transferCosts returns the worst-case duration of each transfer at s0.
+func transferCosts(a *let.Analysis, cm dma.CostModel, transfers []dma.Transfer) []int64 {
+	cost := make([]int64, len(transfers))
 	for g, tr := range transfers {
 		cost[g] = int64(cm.TransferCost(dma.TransferSize(a, tr)))
 	}
-	size := 1 << uint(n)
-	dp := make([]float64, size)
-	elapsed := make([]int64, size)
-	parent := make([]int32, size)
-	for i := range dp {
-		dp[i] = math.Inf(1)
-		parent[i] = -1
-	}
-	dp[0] = 0
-	full := uint64(size - 1)
-	for s := 0; s < size; s++ {
-		if math.IsInf(dp[s], 1) {
-			continue
-		}
-		su := uint64(s)
-		avail := full &^ su
-		for avail != 0 {
-			g := bits.TrailingZeros64(avail)
-			bit := uint64(1) << uint(g)
-			avail &^= bit
-			if pred[g]&^su != 0 {
-				continue // unmet precedence
-			}
-			ns := su | bit
-			el := elapsed[s] + cost[g]
-			val := dp[s]
-			valid := true
-			for _, ti := range oo.lastIn[g] {
-				if oo.req[ti]&^ns != 0 {
-					continue // task not yet complete
-				}
-				lam := float64(el)
-				if lam > oo.cap[ti] {
-					valid = false
-					break
-				}
-				if r := lam / oo.denom[ti]; r > val {
-					val = r
-				}
-			}
-			if !valid {
+	return cost
+}
+
+// orderExact finds an order of the transfers (with durations cost)
+// minimizing max_i lambda_i/denom_i subject to the precedences and
+// lambda_i <= cap_i, by dynamic programming over subsets. It returns the
+// ordered transfer indices and the objective value, or ok=false if no
+// valid order exists.
+//
+// Only subsets reachable from the empty set are stored: the precedence-
+// closed ones whose completed tasks meet their caps. States are expanded
+// level by level (by subset size) and, within a level, in increasing
+// numeric order. Every predecessor of a state lies in the previous level,
+// so each state is relaxed from its predecessors in increasing numeric
+// order, exactly as a loop over all 2^n subsets would, and the orderTieTol
+// tie-break picks the same parent.
+//
+// cutoff is the objective of an incumbent the caller already holds, or
+// +Inf. A state is not expanded once a lower bound on every completion
+// through it reaches cutoff + cutoffMargin(n): the larger of its value and,
+// for each unfinished task, (elapsed + cost of the task's remaining
+// transfers) / denom. If the uncut DP's value is below cutoff, orderExact
+// returns exactly the uncut DP's order and value; otherwise it returns
+// ok=false.
+func orderExact(cost []int64, oo *orderObjective, pred []uint64, cutoff float64) (order []int, val float64, ok bool) {
+	n := len(cost)
+	bound := cutoff + cutoffMargin(n)
+	cut := !math.IsInf(cutoff, 1)
+	full := uint64(1)<<uint(n) - 1
+
+	levels := make([][]dpState, n+1)
+	levels[0] = []dpState{{parent: -1}}
+	index := make(map[uint64]int32)
+	for k := 0; k < n; k++ {
+		var next []dpState
+		clear(index)
+		for _, st := range levels[k] {
+			if cut && lowerBound(st, oo, cost) >= bound {
 				continue
 			}
-			if val < dp[ns]-1e-15 {
-				dp[ns] = val
-				elapsed[ns] = el
-				parent[ns] = int32(g)
+			avail := full &^ st.set
+			for avail != 0 {
+				g := bits.TrailingZeros64(avail)
+				bit := uint64(1) << uint(g)
+				avail &^= bit
+				if pred[g]&^st.set != 0 {
+					continue // unmet precedence
+				}
+				ns := st.set | bit
+				el := st.elapsed + cost[g]
+				val := st.val
+				valid := true
+				for _, ti := range oo.lastIn[g] {
+					if oo.req[ti]&^ns != 0 {
+						continue // task not yet complete
+					}
+					lam := float64(el)
+					if lam > oo.cap[ti] {
+						valid = false
+						break
+					}
+					if r := lam / oo.denom[ti]; r > val {
+						val = r
+					}
+				}
+				if !valid {
+					continue
+				}
+				i, seen := index[ns]
+				cur := math.Inf(1) // an unreached state
+				if seen {
+					cur = next[i].val
+				}
+				if !(val < cur-orderTieTol) {
+					continue
+				}
+				if !seen {
+					index[ns] = int32(len(next))
+					next = append(next, dpState{set: ns, val: val, elapsed: el, parent: int32(g)})
+					continue
+				}
+				next[i].val, next[i].parent = val, int32(g)
 			}
 		}
+		if len(next) == 0 {
+			return nil, 0, false
+		}
+		slices.SortFunc(next, func(x, y dpState) int { return cmp.Compare(x.set, y.set) })
+		levels[k+1] = next
 	}
-	if math.IsInf(dp[size-1], 1) {
+
+	// levels[n] holds only the full set.
+	if val = levels[n][0].val; val >= cutoff {
 		return nil, 0, false
 	}
-	// Reconstruct.
-	order = make([]int, 0, n)
-	for s := size - 1; s != 0; {
-		g := int(parent[s])
-		order = append(order, g)
+	order = make([]int, n)
+	s := full
+	for k := n; k > 0; k-- {
+		i, _ := slices.BinarySearchFunc(levels[k], s, func(st dpState, set uint64) int { return cmp.Compare(st.set, set) })
+		g := int(levels[k][i].parent)
+		order[k-1] = g
 		s &^= 1 << uint(g)
 	}
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
+	return order, val, true
+}
+
+// lowerBound returns a lower bound on the value of every complete order
+// extending st: st's own value, and for each task not yet complete the
+// ratio it reaches if its remaining transfers run next, back to back.
+func lowerBound(st dpState, oo *orderObjective, cost []int64) float64 {
+	lb := st.val
+	for ti, req := range oo.req {
+		rest := req &^ st.set
+		if rest == 0 {
+			continue
+		}
+		el := st.elapsed
+		for rest != 0 {
+			g := bits.TrailingZeros64(rest)
+			rest &^= 1 << uint(g)
+			el += cost[g]
+		}
+		if r := float64(el) / oo.denom[ti]; r > lb {
+			lb = r
+		}
 	}
-	return order, dp[size-1], true
+	return lb
 }
 
 // orderHeuristic is deadline-pressure list scheduling: among transfers with
@@ -234,32 +322,4 @@ func applyOrder(transfers []dma.Transfer, order []int) *dma.Schedule {
 		s.Transfers = append(s.Transfers, transfers[g])
 	}
 	return s
-}
-
-// evalOrder computes max_i lambda_i/denom_i for a finished schedule and
-// whether all caps hold.
-func evalOrder(a *let.Analysis, cm dma.CostModel, sched *dma.Schedule, oo *orderObjective) (float64, bool) {
-	var worst float64
-	okAll := true
-	for i, id := range oo.tasks {
-		lam := float64(dma.Latency(a, cm, sched, 0, id, dma.PerTaskReadiness))
-		if lam > oo.cap[i] {
-			okAll = false
-		}
-		if r := lam / oo.denom[i]; r > worst {
-			worst = r
-		}
-	}
-	return worst, okAll
-}
-
-// latenciesUs is a debugging helper returning per-task s0 latencies in
-// microseconds.
-func latenciesUs(a *let.Analysis, cm dma.CostModel, sched *dma.Schedule) map[string]float64 {
-	out := make(map[string]float64)
-	for _, task := range a.Sys.Tasks {
-		l := dma.Latency(a, cm, sched, 0, task.ID, dma.PerTaskReadiness)
-		out[task.Name] = float64(l) / float64(timeutil.Microsecond)
-	}
-	return out
 }

@@ -67,7 +67,13 @@ func SolveWithOptions(a *let.Analysis, cm dma.CostModel, gamma dma.Deadlines, ob
 	var best *Result
 	var firstErr error
 	for _, gran := range opts.Granularities {
-		res, err := solveAt(a, cm, gamma, obj, gran)
+		// Under OBJ-DEL a granularity only counts if it beats the
+		// incumbent, so the incumbent's objective bounds its ordering DP.
+		cutoff := math.Inf(1)
+		if obj == dma.MinDelayRatio && best != nil {
+			cutoff = best.Objective
+		}
+		res, err := solveAt(a, cm, gamma, obj, gran, cutoff)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -105,35 +111,20 @@ func better(obj dma.Objective, x, y *Result) bool {
 }
 
 // solveAt builds and orders a solution at one granularity and validates it.
-func solveAt(a *let.Analysis, cm dma.CostModel, gamma dma.Deadlines, obj dma.Objective, gran Granularity) (*Result, error) {
-	var transfers []dma.Transfer
-	var layout *dma.Layout
-	var err error
-	switch gran {
-	case GranMerged, GranBundled:
-		bundles := extractBundles(a)
-		if gran == GranMerged {
-			bundles = mergeChains(bundles)
-		}
-		layout, err = buildLayout(a, bundles)
-		if err != nil {
-			return nil, err
-		}
-		transfers = buildTransfers(bundles)
-	case GranPerComm:
-		layout = dma.TrivialLayout(a)
-		transfers = perCommTransfers(a)
-	default:
-		return nil, fmt.Errorf("combopt: unknown granularity %q", gran)
+// cutoff is passed to orderExact: +Inf, or an incumbent objective the
+// result is only useful if it beats.
+func solveAt(a *let.Analysis, cm dma.CostModel, gamma dma.Deadlines, obj dma.Objective, gran Granularity, cutoff float64) (*Result, error) {
+	layout, transfers, err := groupAt(a, gran)
+	if err != nil {
+		return nil, err
 	}
-
 	pred := precedences(a, transfers)
 	oo := buildOrderObjective(a, transfers, gamma, obj)
 
 	var sched *dma.Schedule
 	exact := false
 	if len(transfers) <= MaxExactOrderDefault {
-		order, _, ok := orderExact(a, cm, transfers, oo, pred)
+		order, _, ok := orderExact(transferCosts(a, cm, transfers), oo, pred, cutoff)
 		if !ok {
 			return nil, fmt.Errorf("combopt: no order satisfies the deadlines at granularity %s", gran)
 		}
@@ -176,4 +167,25 @@ func solveAt(a *let.Analysis, cm dma.CostModel, gamma dma.Deadlines, obj dma.Obj
 		res.Objective = worst
 	}
 	return res, nil
+}
+
+// groupAt builds the layout and the (unordered) transfers of one
+// granularity.
+func groupAt(a *let.Analysis, gran Granularity) (*dma.Layout, []dma.Transfer, error) {
+	switch gran {
+	case GranMerged, GranBundled:
+		bundles := extractBundles(a)
+		if gran == GranMerged {
+			bundles = mergeChains(bundles)
+		}
+		layout, err := buildLayout(a, bundles)
+		if err != nil {
+			return nil, nil, err
+		}
+		return layout, buildTransfers(bundles), nil
+	case GranPerComm:
+		return dma.TrivialLayout(a), perCommTransfers(a), nil
+	default:
+		return nil, nil, fmt.Errorf("combopt: unknown granularity %q", gran)
+	}
 }

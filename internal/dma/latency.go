@@ -61,13 +61,23 @@ func Latency(a *let.Analysis, cm CostModel, s *Schedule, t timeutil.Time, ti mod
 // Latency at that instant. Release instants outside T* contribute zero. By
 // Theorem 1, for a feasible solution under PerTaskReadiness the maximum is
 // attained at s0 = 0.
+//
+// Latency at t depends on t only through the active set C(t), so it is
+// evaluated once per distinct activation pattern among ti's release
+// instants rather than once per instant.
 func WorstLatency(a *let.Analysis, cm CostModel, s *Schedule, ti model.TaskID, rule ReadinessRule) timeutil.Time {
 	period := a.Sys.Task(ti).Period
+	seen := make([]bool, len(a.ActiveSubsets()))
 	var worst timeutil.Time
 	for _, t := range a.Instants() {
 		if int64(t)%int64(period) != 0 {
 			continue // ti is not released at t
 		}
+		p := a.PatternOf(t)
+		if seen[p] {
+			continue
+		}
+		seen[p] = true
 		if l := Latency(a, cm, s, t, ti, rule); l > worst {
 			worst = l
 		}

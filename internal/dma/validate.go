@@ -134,9 +134,14 @@ func ValidateAll(a *let.Analysis, cm CostModel, layout *Layout, sched *Schedule,
 	}
 
 	// Constraint 10 between consecutive instants and across the
-	// hyperperiod boundary.
+	// hyperperiod boundary. The duration depends on the window's start
+	// only through C(start), so it is computed once per pattern.
+	dur := make([]timeutil.Time, len(a.ActiveSubsets()))
+	for p, t := range a.ActiveSubsets() {
+		dur[p] = sched.Duration(a, cm, t)
+	}
 	for _, w := range a.Windows() {
-		if d := sched.Duration(a, cm, w.Start); d > w.End-w.Start {
+		if d := dur[a.PatternOf(w.Start)]; d > w.End-w.Start {
 			vs.Addf(violation.Property3, "Constraint 10",
 				"communications at t=%v take %v but the next instant is at %v", w.Start, d, w.End)
 		}

@@ -23,7 +23,9 @@
 package let
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"letdma/internal/model"
@@ -161,6 +163,11 @@ type Analysis struct {
 	// activeAt maps an instant of T* to the sorted indices of the
 	// communications active at that instant.
 	activeAt map[timeutil.Time][]int
+	// patternOf[i] indexes reps with the active set C(instants[i]); reps
+	// holds one representative instant per distinct active set, in order
+	// of first occurrence.
+	patternOf []int
+	reps      []timeutil.Time
 }
 
 // Analyze computes the LET communication structure of sys.
@@ -229,7 +236,32 @@ func Analyze(sys *model.System) (*Analysis, error) {
 	for _, zs := range a.activeAt {
 		sort.Ints(zs)
 	}
+	a.indexPatterns()
 	return a, nil
+}
+
+// indexPatterns groups the instants of T* by their active set C(t). The
+// map key is the set's uvarint encoding: a byte-exact identity of the
+// sorted index list that costs one small buffer instead of a formatted
+// string per instant (Analyze runs for every candidate system a caller
+// screens).
+func (a *Analysis) indexPatterns() {
+	a.patternOf = make([]int, len(a.instants))
+	ids := make(map[string]int)
+	var key []byte
+	for i, t := range a.instants {
+		key = key[:0]
+		for _, z := range a.activeAt[t] {
+			key = binary.AppendUvarint(key, uint64(z))
+		}
+		p, ok := ids[string(key)]
+		if !ok {
+			p = len(a.reps)
+			ids[string(key)] = p
+			a.reps = append(a.reps, t)
+		}
+		a.patternOf[i] = p
+	}
 }
 
 // activationTimes returns the sorted instants in [0, H) at which c is
@@ -416,21 +448,26 @@ func (a *Analysis) CommString(z int) string {
 // Size returns the size in bytes of the label moved by communication z.
 func (a *Analysis) Size(z int) int64 { return a.Sys.Label(a.Comms[z].Label).Size }
 
-// ActiveSubsetsSignature returns, for each distinct non-empty active set
-// C(t) with t in T*, one representative instant. The result is sorted by
-// representative instant; index 0 is always s0 = 0 with the full set C(s0).
-// Layout feasibility (Constraint 6) only depends on these distinct sets.
-func (a *Analysis) ActiveSubsets() []timeutil.Time {
-	seen := make(map[string]bool)
-	var reps []timeutil.Time
-	for _, t := range a.instants {
-		key := fmt.Sprint(a.activeAt[t])
-		if !seen[key] {
-			seen[key] = true
-			reps = append(reps, t)
-		}
+// ActiveSubsets returns, for each distinct non-empty active set C(t) with
+// t in T*, one representative instant: the first instant with that set.
+// The result is sorted by representative instant; index 0 is always
+// s0 = 0 with the full set C(s0). Layout feasibility (Constraint 6), and by
+// Theorem 1 every timing quantity of a schedule at t, only depends on
+// these distinct sets. The slice is computed once by Analyze and shared:
+// callers must not modify it.
+func (a *Analysis) ActiveSubsets() []timeutil.Time { return a.reps }
+
+// PatternOf returns the index into ActiveSubsets of the active set C(t):
+// every t with the same PatternOf has the same C(t), so the induced
+// schedule and everything derived from it is the same as at
+// ActiveSubsets()[PatternOf(t)]. It returns -1 if t is not in T* (no
+// communication is required at t).
+func (a *Analysis) PatternOf(t timeutil.Time) int {
+	i, ok := slices.BinarySearch(a.instants, t)
+	if !ok {
+		return -1
 	}
-	return reps
+	return a.patternOf[i]
 }
 
 // SubsetProperty verifies that C(t) is a subset of C(s0) for every t in T*

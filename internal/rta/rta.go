@@ -39,18 +39,23 @@ type LETInterference struct {
 // to the same core), and the minimum inter-arrival is the smallest gap
 // between consecutive instants of T* at which the core is involved.
 func LETDemand(a *let.Analysis, cm dma.CostModel, sched *dma.Schedule) map[model.CoreID]LETInterference {
-	out := make(map[model.CoreID]LETInterference)
-	lastInvolved := make(map[model.CoreID]timeutil.Time)
-	minGapOf := make(map[model.CoreID]timeutil.Time)
-	instants := a.Instants()
-	for _, t := range instants {
+	// The per-core demand at t depends on t only through C(t): compute it
+	// once per activation pattern, then walk T* for the gaps.
+	demandOf := make([]map[model.CoreID]timeutil.Time, len(a.ActiveSubsets()))
+	for p, t := range a.ActiveSubsets() {
 		induced, _ := sched.InducedAt(a, t)
 		demand := make(map[model.CoreID]timeutil.Time)
 		for _, tr := range induced {
 			core := model.CoreID(a.LocalMemory(tr.Comms[0]))
 			demand[core] += cm.ProgramOverhead + cm.ISROverhead
 		}
-		for core, d := range demand {
+		demandOf[p] = demand
+	}
+	out := make(map[model.CoreID]LETInterference)
+	lastInvolved := make(map[model.CoreID]timeutil.Time)
+	minGapOf := make(map[model.CoreID]timeutil.Time)
+	for _, t := range a.Instants() {
+		for core, d := range demandOf[a.PatternOf(t)] {
 			cur := out[core]
 			if d > cur.Exec {
 				cur.Exec = d
