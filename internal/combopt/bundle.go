@@ -25,8 +25,7 @@
 package combopt
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
 
 	"letdma/internal/dma"
 	"letdma/internal/let"
@@ -38,17 +37,15 @@ import (
 // bundle is a set of labels sharing producer core, consumer-task set and
 // per-class activation signatures, plus the communications that move them.
 type bundle struct {
-	key       string
 	prodCore  model.CoreID
 	consumers []model.TaskID // sorted
 	labels    []model.LabelID
 	writes    []int                  // comm indices, aligned with labels
 	reads     map[model.TaskID][]int // per consumer task, aligned with labels
 
-	// sigs holds the activation signature per class: index 0 is the write
-	// class, then one per consumer task in order. Used for chain merging.
-	sigs []string
-	// sigSets are the same signatures as sets for inclusion tests.
+	// sigSets holds the activation signature per class as a set, for the
+	// inclusion tests of chain merging: index 0 is the write class, then
+	// one per consumer task in order.
 	sigSets []map[timeutil.Time]bool
 
 	// Chain bookkeeping, set on merged bundles only: the bundles at the
@@ -60,7 +57,8 @@ type bundle struct {
 // extractBundles partitions the communications of a into bundles.
 func extractBundles(a *let.Analysis) []*bundle {
 	bymap := make(map[string]*bundle)
-	var order []string
+	var out []*bundle
+	var key []byte
 	for _, sl := range sortedShared(a) {
 		lid := sl.Label.ID
 		wz := a.CommIndex(let.Comm{Kind: let.Write, Task: sl.Producer.ID, Label: lid})
@@ -68,38 +66,44 @@ func extractBundles(a *let.Analysis) []*bundle {
 		for _, c := range sl.Consumers {
 			consumers = append(consumers, c.ID)
 		}
-		sigs := []string{sigString(a.Activations(wz))}
-		sigSets := []map[timeutil.Time]bool{sigSet(a.Activations(wz))}
-		var rz []int
+		// The key identifies the producer core, the consumer-task set and
+		// the activation signature of every class: "p<core>|c<ids>|s<sigs>"
+		// with comma-separated numbers and ';' between signatures.
+		key = strconv.AppendInt(append(key[:0], 'p'), int64(sl.Producer.Core), 10)
+		key = append(key, "|c"...)
+		for i, c := range consumers {
+			if i > 0 {
+				key = append(key, ',')
+			}
+			key = strconv.AppendInt(key, int64(c), 10)
+		}
+		key = appendSig(append(key, "|s"...), a.Activations(wz))
+		rz := make([]int, 0, len(consumers))
 		for _, c := range consumers {
 			z := a.CommIndex(let.Comm{Kind: let.Read, Task: c, Label: lid})
 			rz = append(rz, z)
-			sigs = append(sigs, sigString(a.Activations(z)))
-			sigSets = append(sigSets, sigSet(a.Activations(z)))
+			key = appendSig(append(key, ';'), a.Activations(z))
 		}
-		key := fmt.Sprintf("p%d|c%v|s%s", sl.Producer.Core, consumers, strings.Join(sigs, ";"))
-		b, ok := bymap[key]
+		b, ok := bymap[string(key)]
 		if !ok {
+			sigSets := []map[timeutil.Time]bool{sigSet(a.Activations(wz))}
+			for _, z := range rz {
+				sigSets = append(sigSets, sigSet(a.Activations(z)))
+			}
 			b = &bundle{
-				key:       key,
 				prodCore:  sl.Producer.Core,
 				consumers: consumers,
 				reads:     make(map[model.TaskID][]int),
-				sigs:      sigs,
 				sigSets:   sigSets,
 			}
-			bymap[key] = b
-			order = append(order, key)
+			bymap[string(key)] = b
+			out = append(out, b)
 		}
 		b.labels = append(b.labels, lid)
 		b.writes = append(b.writes, wz)
 		for i, c := range consumers {
 			b.reads[c] = append(b.reads[c], rz[i])
 		}
-	}
-	out := make([]*bundle, 0, len(order))
-	for _, k := range order {
-		out = append(out, bymap[k])
 	}
 	return out
 }
@@ -113,12 +117,16 @@ func sortedShared(a *let.Analysis) []model.SharedLabel {
 	return out
 }
 
-func sigString(ts []timeutil.Time) string {
-	parts := make([]string, len(ts))
+// appendSig appends an activation signature to a bundle key as
+// comma-separated instants.
+func appendSig(key []byte, ts []timeutil.Time) []byte {
 	for i, t := range ts {
-		parts[i] = fmt.Sprint(int64(t))
+		if i > 0 {
+			key = append(key, ',')
+		}
+		key = strconv.AppendInt(key, int64(t), 10)
 	}
-	return strings.Join(parts, ",")
+	return key
 }
 
 func sigSet(ts []timeutil.Time) map[timeutil.Time]bool {
@@ -199,13 +207,11 @@ func mergeChains(bundles []*bundle) []*bundle {
 // alias the original bundles' storage.
 func (b *bundle) clone() *bundle {
 	nb := &bundle{
-		key:             b.key,
 		prodCore:        b.prodCore,
 		consumers:       append([]model.TaskID(nil), b.consumers...),
 		labels:          append([]model.LabelID(nil), b.labels...),
 		writes:          append([]int(nil), b.writes...),
 		reads:           make(map[model.TaskID][]int, len(b.reads)),
-		sigs:            b.sigs,
 		sigSets:         b.sigSets,
 		chainHeadBundle: b,
 		chainTail:       b,
