@@ -58,31 +58,23 @@ func Latency(a *let.Analysis, cm CostModel, s *Schedule, t timeutil.Time, ti mod
 }
 
 // WorstLatency returns max over the release instants of ti in [0, H) of
-// Latency at that instant. Release instants outside T* contribute zero. By
-// Theorem 1, for a feasible solution under PerTaskReadiness the maximum is
-// attained at s0 = 0.
+// Latency at that instant (release instants outside T* contribute zero).
+// For any schedule, under either readiness rule and a valid cost model,
+// the maximum is attained at s0 = 0, so WorstLatency is Latency at s0:
+// the value Eq. (5) and MaxLatencyRatio evaluate.
 //
-// Latency at t depends on t only through the active set C(t), so it is
-// evaluated once per distinct activation pattern among ti's release
-// instants rather than once per instant.
+// Proof. Every task is released at s0 and C(t) is a subset of C(s0), so
+// the schedule induced at t is an order-preserving restriction of the
+// one at s0: it keeps s0's transfers that carry an active communication,
+// each moving a subset of its bytes. TransferCost is monotone in the
+// bytes moved, so any prefix of the sequence at t costs no more than the
+// prefix at s0 ending at the same transfer. Under AfterAllReadiness the
+// latency is the whole sequence. Under PerTaskReadiness it is the prefix
+// ending at the transfer carrying ti's last communication at t; that
+// communication is also active at s0, so ti's last transfer at s0 lies
+// at or after it.
 func WorstLatency(a *let.Analysis, cm CostModel, s *Schedule, ti model.TaskID, rule ReadinessRule) timeutil.Time {
-	period := a.Sys.Task(ti).Period
-	seen := make([]bool, len(a.ActiveSubsets()))
-	var worst timeutil.Time
-	for _, t := range a.Instants() {
-		if int64(t)%int64(period) != 0 {
-			continue // ti is not released at t
-		}
-		p := a.PatternOf(t)
-		if seen[p] {
-			continue
-		}
-		seen[p] = true
-		if l := Latency(a, cm, s, t, ti, rule); l > worst {
-			worst = l
-		}
-	}
-	return worst
+	return Latency(a, cm, s, 0, ti, rule)
 }
 
 // MaxLatencyRatio returns the objective value of Eq. (5): the maximum over

@@ -133,20 +133,36 @@ func ValidateAll(a *let.Analysis, cm CostModel, layout *Layout, sched *Schedule,
 		}
 	}
 
-	// Constraint 10 between consecutive instants and across the
-	// hyperperiod boundary. The duration depends on the window's start
-	// only through C(start), so it is computed once per pattern.
+	for _, o := range WindowOverruns(a, cm, sched) {
+		vs.Addf(violation.Property3, "Constraint 10",
+			"communications at t=%v take %v but the next instant is at %v", o.Window.Start, o.Duration, o.Window.End)
+	}
+	return vs
+}
+
+// Overrun is a window of T* whose communications outlast it.
+type Overrun struct {
+	Window   let.Window
+	Duration timeutil.Time // of the schedule induced at Window.Start
+}
+
+// WindowOverruns checks Constraint 10 between consecutive instants of T*
+// and across the hyperperiod boundary: it returns, in window order, every
+// window whose induced schedule takes longer than the window. The
+// duration depends on the window's start only through C(start), so it is
+// computed once per activation pattern.
+func WindowOverruns(a *let.Analysis, cm CostModel, sched *Schedule) []Overrun {
 	dur := make([]timeutil.Time, len(a.ActiveSubsets()))
 	for p, t := range a.ActiveSubsets() {
 		dur[p] = sched.Duration(a, cm, t)
 	}
+	var out []Overrun
 	for _, w := range a.Windows() {
 		if d := dur[a.PatternOf(w.Start)]; d > w.End-w.Start {
-			vs.Addf(violation.Property3, "Constraint 10",
-				"communications at t=%v take %v but the next instant is at %v", w.Start, d, w.End)
+			out = append(out, Overrun{Window: w, Duration: d})
 		}
 	}
-	return vs
+	return out
 }
 
 // checkContiguous verifies that the labels of one (induced) transfer occupy

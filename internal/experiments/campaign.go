@@ -100,17 +100,7 @@ func baselineFeasible(a *let.Analysis, cm dma.CostModel, sched *dma.Schedule, ga
 			return false
 		}
 	}
-	instants := a.Instants()
-	for i, t := range instants {
-		var next = a.H
-		if i+1 < len(instants) {
-			next = instants[i+1]
-		}
-		if sched.Duration(a, cm, t) > next-t {
-			return false
-		}
-	}
-	return true
+	return len(dma.WindowOverruns(a, cm, sched)) == 0
 }
 
 // RenderCampaign prints acceptance ratios per alpha.

@@ -129,7 +129,8 @@ func (cfg *MarginConfig) simConfig() sim.Config {
 
 // replayer runs the replays of one margin analysis on a shared sim.Plan,
 // so the effective schedule and the induced transfers of every instant
-// are built once, not once per replay.
+// are built once, not once per replay, and the plan's replay buffers are
+// reused. The replays run one after another, as a Plan requires.
 type replayer struct {
 	cfg  *MarginConfig
 	plan *sim.Plan

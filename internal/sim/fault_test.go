@@ -224,11 +224,7 @@ func TestRetryExhaustedWaitAll(t *testing.T) {
 	// end of the (degraded) sequence.
 	var ready []timeutil.Time
 	for _, task := range a.Sys.Tasks {
-		lat, ok := res.LatencyAt[task.ID][0]
-		if !ok {
-			continue
-		}
-		ready = append(ready, lat)
+		ready = append(ready, res.LatencyAt[task.ID][0])
 	}
 	for _, r := range ready[1:] {
 		if r != ready[0] {

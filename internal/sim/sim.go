@@ -34,7 +34,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"slices"
 
@@ -256,9 +255,10 @@ func (s *TaskStats) AvgLatency() timeutil.Time {
 // Result is the outcome of a simulation.
 type Result struct {
 	Stats map[model.TaskID]*TaskStats
-	// LatencyAt[id][t] is the data-acquisition latency of the job of task
-	// id released at absolute time t.
-	LatencyAt map[model.TaskID]map[timeutil.Time]timeutil.Time
+	// LatencyAt[id][k] is the data-acquisition latency of the k-th job of
+	// task id, the one released at absolute time k*T_i (T_i its period).
+	// Each task's slice holds its releases in [0, Hyperperiods*H).
+	LatencyAt map[model.TaskID][]timeutil.Time
 	// Property3Violations counts communication sequences that spilled past
 	// the next communication instant.
 	Property3Violations int
@@ -307,8 +307,9 @@ func Run(cfg Config) (*Result, error) {
 // effective transfer schedule, the induced transfers and task releases
 // of every communication instant, and the job numbering. Replays that
 // differ only in Cost, CPUCost, Inject, Policy or Trace — a margin
-// search, a survival sweep — share one plan. A Plan is read-only after
-// NewPlan, so concurrent Runs on it are safe.
+// search, a survival sweep — share one plan. The plan also owns the
+// replay workspace that every Run resets and reuses, so Runs on one Plan
+// must not overlap; build one plan per goroutine instead.
 type Plan struct {
 	a            *let.Analysis
 	sched        *dma.Schedule // Config.Sched as given, for the match check
@@ -325,13 +326,14 @@ type Plan struct {
 	// overhead slices of a fault-free replay.
 	coreJobs   []int
 	nominalOvs int
+	ws         workspace
 }
 
 // step is one communication instant of T* whose induced schedule is
 // non-empty, relative to the start of its hyperperiod.
 type step struct {
 	t0, next timeutil.Time // the instant and the end of its window
-	xfers    []xfer
+	xfers    []xfer        // shared by the steps of one activation pattern
 	releases []release
 }
 
@@ -381,29 +383,55 @@ func NewPlan(cfg Config) (*Plan, error) {
 	if cfg.Protocol == GiottoCPU {
 		perXfer = 1 // one CPU copy slice per transfer
 	}
+	// The induced schedule at t, and each task's communications there,
+	// depend on t only through the activation pattern C(t), so both are
+	// computed once per pattern.
+	reps := a.ActiveSubsets()
+	nt := len(a.Sys.Tasks)
+	byPattern := make([][]xfer, len(reps))
+	groups := make([][]int, len(reps)*nt) // [pattern*nt + task index]
+	grouped := make([]bool, len(groups))
+	// Every step's releases are carved from rels; its capacity bounds the
+	// releases of a hyperperiod, so appending never moves earlier ones.
+	nrel := 0
+	for _, task := range a.Sys.Tasks {
+		nrel += int(a.H / task.Period)
+	}
+	rels := make([]release, 0, nrel)
 	instants := a.Instants()
+	p.steps = make([]step, 0, len(instants))
 	for idx, t0 := range instants {
-		induced, _ := sched.InducedAt(a, t0)
-		if len(induced) == 0 {
+		pi := a.PatternOf(t0)
+		if byPattern[pi] == nil {
+			induced, _ := sched.InducedAt(a, reps[pi])
+			xs := make([]xfer, len(induced))
+			for gi, tx := range induced {
+				core := model.CoreID(a.LocalMemory(tx.Comms[0]))
+				xs[gi] = xfer{comms: tx.Comms, core: core, size: dma.TransferSize(a, tx)}
+			}
+			byPattern[pi] = xs
+		}
+		st := step{t0: t0, next: a.H, xfers: byPattern[pi]}
+		if len(st.xfers) == 0 {
 			continue
 		}
-		st := step{t0: t0, next: a.H}
 		if idx+1 < len(instants) {
 			st.next = instants[idx+1]
 		}
-		st.xfers = make([]xfer, len(induced))
-		for gi, tx := range induced {
-			core := model.CoreID(a.LocalMemory(tx.Comms[0]))
-			st.xfers[gi] = xfer{comms: tx.Comms, core: core, size: dma.TransferSize(a, tx)}
-			p.nominalOvs += perXfer * cfg.Hyperperiods
-		}
+		p.nominalOvs += perXfer * cfg.Hyperperiods * len(st.xfers)
+		lo := len(rels)
 		for i, task := range a.Sys.Tasks {
 			if int64(t0)%int64(task.Period) != 0 {
 				continue // not released at this instant
 			}
-			ws, rs := a.GroupsFor(t0, task.ID)
-			st.releases = append(st.releases, release{task: i, comms: append(ws, rs...)})
+			g := pi*nt + i
+			if !grouped[g] {
+				ws, rs := a.GroupsFor(t0, task.ID)
+				groups[g], grouped[g] = append(ws, rs...), true
+			}
+			rels = append(rels, release{task: i, comms: groups[g]})
 		}
+		st.releases = rels[lo:len(rels):len(rels)]
 		p.steps = append(p.steps, st)
 	}
 	return p, nil
@@ -411,7 +439,7 @@ func NewPlan(cfg Config) (*Plan, error) {
 
 // Run replays cfg on the plan. cfg must name the plan's Analysis, Sched,
 // Protocol and Hyperperiods; Cost, CPUCost, Inject, Policy and Trace are
-// free per run.
+// free per run. The returned Result shares no memory with the plan.
 func (p *Plan) Run(cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -430,11 +458,12 @@ func (p *Plan) Run(cfg Config) (*Result, error) {
 		cost = cfg.CPUCost
 	}
 	a := p.a
+	w := &p.ws
 	tl := p.replay(cost, cfg.Trace, cfg.Inject, cfg.Policy)
 
 	res := &Result{
 		Stats:               make(map[model.TaskID]*TaskStats, len(a.Sys.Tasks)),
-		LatencyAt:           make(map[model.TaskID]map[timeutil.Time]timeutil.Time, len(a.Sys.Tasks)),
+		LatencyAt:           make(map[model.TaskID][]timeutil.Time, len(a.Sys.Tasks)),
 		Property3Violations: tl.p3viol,
 		Violations:          tl.vs,
 		DegradedAt:          tl.degraded,
@@ -445,29 +474,21 @@ func (p *Plan) Run(cfg Config) (*Result, error) {
 		HaltedAt:            tl.haltedAt,
 	}
 
-	// Per-core job lists, carved from one allocation: task jobs in (task,
-	// release) order, then the overhead slices in replay order; the
-	// position is the FIFO tie-break.
-	perCore := slices.Clone(p.coreJobs)
-	for _, ov := range tl.ovs {
-		perCore[ov.core]++
-	}
-	all := make([]job, p.numJobs+len(tl.ovs))
-	cores := make([][]job, a.Sys.NumCores)
-	off := 0
-	for c, n := range perCore {
-		cores[c] = all[off : off : off+n]
-		off += n
-	}
-	stats := make([]*TaskStats, len(a.Sys.Tasks)) // by TaskID
+	// Per-core job lists, carved from the workspace's job buffer: task
+	// jobs in (task, release) order, then the overhead slices in replay
+	// order; the position is the FIFO tie-break.
+	cores := w.jobLists(p, tl.ovs)
+	stats := make([]TaskStats, len(a.Sys.Tasks))
+	latency := make([]timeutil.Time, p.numJobs) // carved into LatencyAt
 	for i, task := range a.Sys.Tasks {
-		st := &TaskStats{Name: task.Name}
+		st := &stats[i]
+		st.Name = task.Name
 		res.Stats[task.ID] = st
-		stats[task.ID] = st
-		latAt := make(map[timeutil.Time]timeutil.Time, p.horizon/task.Period)
-		res.LatencyAt[task.ID] = latAt
 		ji := p.jobBase[i]
-		for rel := timeutil.Time(0); rel < p.horizon; rel += task.Period {
+		n := int((p.horizon + task.Period - 1) / task.Period)
+		latAt := latency[ji : ji+n : ji+n]
+		res.LatencyAt[task.ID] = latAt
+		for k, rel := 0, timeutil.Time(0); k < n; k, rel = k+1, rel+task.Period {
 			ready := tl.readyAt[ji]
 			lat := ready - rel
 			st.Jobs++
@@ -478,11 +499,8 @@ func (p *Plan) Run(cfg Config) (*Result, error) {
 			if tl.staleJob != nil && tl.staleJob[ji] {
 				st.StaleReads++
 			}
-			latAt[rel] = lat
-			cores[task.Core] = append(cores[task.Core], job{
-				task: task.ID, prio: task.Priority, ready: ready,
-				rem: task.WCET, release: rel, deadline: rel + task.Period,
-			})
+			latAt[k] = lat
+			cores[task.Core] = append(cores[task.Core], job{task: task.ID, prio: task.Priority, ready: ready, rem: task.WCET})
 			ji++
 		}
 	}
@@ -491,7 +509,7 @@ func (p *Plan) Run(cfg Config) (*Result, error) {
 	}
 
 	for c := range cores {
-		segs := simulateCore(cores[c], cfg.Trace != nil)
+		segs := w.simulateCore(cores[c], cfg.Trace != nil)
 		if cfg.Trace != nil {
 			track := fmt.Sprintf("core%d", c)
 			for _, sg := range segs {
@@ -501,16 +519,21 @@ func (p *Plan) Run(cfg Config) (*Result, error) {
 				cfg.Trace.Span(track, a.Sys.Task(sg.j.task).Name, trace.CatJob, sg.start, sg.end-sg.start)
 			}
 		}
-		for k := range cores[c] {
-			j := &cores[c][k]
-			if j.task < 0 {
-				continue
-			}
-			st := stats[j.task]
-			if resp := j.finish - j.release; resp > st.MaxResponse {
+	}
+	// Response times: the task jobs head each core's list in the order
+	// they were appended above.
+	head := w.perCore
+	clear(head)
+	for i, task := range a.Sys.Tasks {
+		st := &stats[i]
+		jobs := cores[task.Core]
+		for rel := timeutil.Time(0); rel < p.horizon; rel += task.Period {
+			j := &jobs[head[task.Core]]
+			head[task.Core]++
+			if resp := j.finish - rel; resp > st.MaxResponse {
 				st.MaxResponse = resp
 			}
-			if j.finish > j.deadline {
+			if j.finish > rel+task.Period {
 				st.Misses++
 			}
 		}
@@ -533,7 +556,9 @@ func effectiveSchedule(cfg Config) (*dma.Schedule, bool) {
 
 // timeline is the outcome of replaying every communication sequence:
 // task readiness, CPU overhead slices, and — under fault injection — the
-// structured deviation report.
+// structured deviation report. readyAt, staleJob and ovs live in the
+// plan's workspace; the other fields are handed to the Result as they
+// are.
 type timeline struct {
 	readyAt  []timeutil.Time // per job number (see Plan.jobBase)
 	staleJob []bool          // per job number; nil without injection
@@ -546,6 +571,88 @@ type timeline struct {
 	stale    int
 	halted   bool
 	haltedAt timeutil.Time
+}
+
+// workspace holds the buffers one replay fills and then discards: the
+// timeline's readiness, staleness and overhead buffers, the
+// per-communication stamps, the per-core job lists and the scheduling
+// kernel's arrival order and ready heap. Every Run resets it first, so a
+// Run on a reused plan is indistinguishable from one on a fresh plan.
+type workspace struct {
+	tl timeline
+	// staleJob is the backing store of tl.staleJob, which is nil in
+	// nominal replays.
+	staleJob []bool
+	// Per-communication completion time and failure of the current
+	// sequence, valid only where the stamp equals the sequence number.
+	// The sequence number restarts at 1 every replay, so reset clears the
+	// stamps; staleSeq is nil until the first faulted replay.
+	doneAt   []timeutil.Time
+	doneSeq  []int
+	staleSeq []int
+	// all backs the per-core job lists cores.
+	all     []job
+	cores   [][]job
+	perCore []int
+	// Scheduling kernel scratch: the arrival order, its merge buffer and
+	// run starts, and the ready heap, all indices into one core's jobs.
+	order, merge []int32
+	runs         []int
+	heap         []int32
+}
+
+// reset prepares the workspace for a replay of p, with the injection
+// buffers when injected is set, and returns the emptied timeline with
+// every job ready at its release.
+func (w *workspace) reset(p *Plan, injected bool) *timeline {
+	nc := p.a.NumComms()
+	if w.tl.readyAt == nil {
+		w.tl.readyAt = make([]timeutil.Time, p.numJobs)
+		w.tl.ovs = make([]overhead, 0, p.nominalOvs)
+		w.doneAt = make([]timeutil.Time, nc)
+		w.doneSeq = make([]int, nc)
+	}
+	w.tl = timeline{readyAt: w.tl.readyAt, ovs: w.tl.ovs[:0]}
+	clear(w.doneSeq)
+	if injected {
+		if w.staleJob == nil {
+			w.staleJob = make([]bool, p.numJobs)
+			w.staleSeq = make([]int, nc)
+		}
+		clear(w.staleJob)
+		clear(w.staleSeq)
+		w.tl.staleJob = w.staleJob
+	}
+	for i, task := range p.a.Sys.Tasks {
+		ji := p.jobBase[i]
+		for rel := timeutil.Time(0); rel < p.horizon; rel += task.Period {
+			w.tl.readyAt[ji] = rel // until a sequence makes the job wait
+			ji++
+		}
+	}
+	return &w.tl
+}
+
+// jobLists returns one empty job list per core, carved from the job
+// buffer with room for the core's task jobs and its share of ovs. The
+// buffer keeps headroom, since faulted replays add retry slices.
+func (w *workspace) jobLists(p *Plan, ovs []overhead) [][]job {
+	w.perCore = append(w.perCore[:0], p.coreJobs...)
+	for _, ov := range ovs {
+		w.perCore[ov.core]++
+	}
+	if need := p.numJobs + len(ovs); cap(w.all) < need {
+		w.all = make([]job, need+need/4)
+	}
+	if w.cores == nil {
+		w.cores = make([][]job, len(w.perCore))
+	}
+	off := 0
+	for c, n := range w.perCore {
+		w.cores[c] = w.all[off : off : off+n]
+		off += n
+	}
+	return w.cores
 }
 
 // markDegraded records that the sequence at absolute instant t deviated
@@ -594,30 +701,19 @@ func (tl *timeline) charge(s timeutil.Time, core model.CoreID, cost dma.CostMode
 }
 
 // replay plays the transfer sequences of every communication instant in
-// [0, horizon) and returns the timeline: task readiness times, CPU
-// overhead slices, the number of Property-3 violations and, when inj is
-// non-nil, the structured fault report. Under Giotto-CPU the copy time
-// itself is also charged to the local core.
+// [0, horizon) into the workspace's timeline and returns it: task
+// readiness times, CPU overhead slices, the number of Property-3
+// violations and, when inj is non-nil, the structured fault report.
+// Under Giotto-CPU the copy time itself is also charged to the local
+// core.
 func (p *Plan) replay(cost dma.CostModel, tr *trace.Trace, inj Injector, policy DegradePolicy) *timeline {
 	a := p.a
 	cpuCopies := p.protocol == GiottoCPU
-	tl := &timeline{readyAt: make([]timeutil.Time, p.numJobs)}
-	tl.ovs = make([]overhead, 0, p.nominalOvs)
-	for i, task := range a.Sys.Tasks {
-		ji := p.jobBase[i]
-		for rel := timeutil.Time(0); rel < p.horizon; rel += task.Period {
-			tl.readyAt[ji] = rel // until a sequence makes the job wait
-			ji++
-		}
-	}
-	// Per-communication completion time and staleness of the current
-	// sequence, valid only where the stamp equals the sequence number.
-	doneAt := make([]timeutil.Time, a.NumComms())
-	doneSeq := make([]int, a.NumComms())
+	tl := p.ws.reset(p, inj != nil)
+	doneAt, doneSeq := p.ws.doneAt, p.ws.doneSeq
 	var staleSeq []int
 	if inj != nil {
-		tl.staleJob = make([]bool, p.numJobs)
-		staleSeq = make([]int, a.NumComms())
+		staleSeq = p.ws.staleSeq
 	}
 	seq := 0
 
@@ -775,37 +871,74 @@ func (p *Plan) replay(cost dma.CostModel, tr *trace.Trace, inj Injector, policy 
 }
 
 // job is a schedulable entity on one core; task == -1 marks an overhead
-// slice running at the highest priority.
+// slice running at the highest priority. A job's position in its core's
+// list is its sequence number, the FIFO tie-break.
 type job struct {
-	task     model.TaskID
-	prio     int
-	ready    timeutil.Time
-	rem      timeutil.Time
-	release  timeutil.Time
-	deadline timeutil.Time
-	finish   timeutil.Time // set by simulateCore
-	seq      int
+	task   model.TaskID
+	prio   int
+	ready  timeutil.Time
+	rem    timeutil.Time
+	finish timeutil.Time // set by simulateCore
 }
 
-// jobHeap orders by priority, then readiness, then sequence.
-type jobHeap []*job
-
-func (h jobHeap) Len() int { return len(h) }
-func (h jobHeap) Less(i, j int) bool {
-	if h[i].prio != h[j].prio {
-		return h[i].prio < h[j].prio
-	}
-	if h[i].ready != h[j].ready {
-		return h[i].ready < h[j].ready
-	}
-	return h[i].seq < h[j].seq
+// readyHeap is a binary min-heap of indices into jobs under the strict
+// total order (prio, ready, index). The order is total, so the top is the
+// same whatever the heap's layout.
+type readyHeap struct {
+	jobs []job
+	idx  []int32
 }
-func (h jobHeap) Swap(i, j int)   { h[i], h[j] = h[j], h[i] }
-func (h *jobHeap) Push(x any)     { *h = append(*h, x.(*job)) }
-func (h *jobHeap) Pop() any       { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-func (h jobHeap) Peek() *job      { return h[0] }
-func (h *jobHeap) PushJob(j *job) { heap.Push(h, j) }
-func (h *jobHeap) PopJob() *job   { return heap.Pop(h).(*job) }
+
+func (h *readyHeap) less(x, y int32) bool {
+	jx, jy := &h.jobs[x], &h.jobs[y]
+	if jx.prio != jy.prio {
+		return jx.prio < jy.prio
+	}
+	if jx.ready != jy.ready {
+		return jx.ready < jy.ready
+	}
+	return x < y
+}
+
+func (h *readyHeap) push(x int32) {
+	i := len(h.idx)
+	h.idx = append(h.idx, x)
+	for i > 0 {
+		up := (i - 1) / 2
+		if !h.less(x, h.idx[up]) {
+			break
+		}
+		h.idx[i] = h.idx[up]
+		i = up
+	}
+	h.idx[i] = x
+}
+
+// pop removes the top.
+func (h *readyHeap) pop() {
+	n := len(h.idx) - 1
+	x := h.idx[n]
+	h.idx = h.idx[:n]
+	if n == 0 {
+		return
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h.less(h.idx[c+1], h.idx[c]) {
+			c++
+		}
+		if !h.less(h.idx[c], x) {
+			break
+		}
+		h.idx[i] = h.idx[c]
+		i = c
+	}
+	h.idx[i] = x
+}
 
 // segment is one contiguous execution slice of a job on its core.
 type segment struct {
@@ -814,39 +947,32 @@ type segment struct {
 }
 
 // simulateCore runs preemptive fixed-priority scheduling over the given
-// jobs, numbering them by position (the FIFO tie-break) and setting each
-// job's finish time. The execution segments are recorded only when
-// traced is set.
-func simulateCore(jobs []job, traced bool) []segment {
+// jobs, setting each job's finish time. The execution segments are
+// recorded only when traced is set.
+func (w *workspace) simulateCore(jobs []job, traced bool) []segment {
 	var segs []segment
-	arrivals := arrivalOrder(jobs)
-	var ready jobHeap
+	arrivals := w.arrivalOrder(jobs)
+	ready := readyHeap{jobs: jobs, idx: w.heap[:0]}
 	now := timeutil.Time(0)
 	i := 0
-	for i < len(arrivals) || ready.Len() > 0 {
-		if ready.Len() == 0 {
-			if now < arrivals[i].ready {
-				now = arrivals[i].ready
-			}
+	for i < len(arrivals) || len(ready.idx) > 0 {
+		if len(ready.idx) == 0 && now < jobs[arrivals[i]].ready {
+			now = jobs[arrivals[i]].ready
 		}
-		for i < len(arrivals) && arrivals[i].ready <= now {
-			ready.PushJob(arrivals[i])
+		for i < len(arrivals) && jobs[arrivals[i]].ready <= now {
+			ready.push(arrivals[i])
 			i++
 		}
-		if ready.Len() == 0 {
-			continue
-		}
-		j := ready.PopJob()
+		j := &jobs[ready.idx[0]]
 		if j.rem == 0 {
 			j.finish = now
+			ready.pop()
 			continue
 		}
 		// Run until completion or the next arrival, whichever is first.
-		var until timeutil.Time
+		until := now + j.rem
 		if i < len(arrivals) {
-			until = arrivals[i].ready
-		} else {
-			until = now + j.rem
+			until = jobs[arrivals[i]].ready
 		}
 		if now+j.rem <= until {
 			if traced {
@@ -855,42 +981,46 @@ func simulateCore(jobs []job, traced bool) []segment {
 			now += j.rem
 			j.rem = 0
 			j.finish = now
+			ready.pop()
 		} else {
 			if traced && until > now {
 				segs = append(segs, segment{j: j, start: now, end: until})
 			}
+			// Preempted or not, j stays in the heap: rem is not part of
+			// the order.
 			j.rem -= until - now
 			now = until
-			ready.PushJob(j)
 		}
 	}
+	w.heap = ready.idx
 	return segs
 }
 
-// arrivalOrder numbers jobs by position and returns them ordered by
-// (ready, seq), i.e. stably by readiness. The list is a concatenation of
-// a few long runs already in that order — each task's releases, the
-// overhead slices — so merging its maximal runs pairwise costs
-// O(n log runs) where a comparison sort costs O(n log n).
-func arrivalOrder(jobs []job) []*job {
-	a := make([]*job, len(jobs))
-	runs := []int{0} // run starts, then len(jobs)
+// arrivalOrder returns the indices of jobs ordered by (ready, index),
+// i.e. stably by readiness. The list is a concatenation of a few long
+// runs already in that order — each task's releases, the overhead
+// slices — so merging its maximal runs pairwise costs O(n log runs)
+// where a comparison sort costs O(n log n). The result lives in the
+// workspace until the next call.
+func (w *workspace) arrivalOrder(jobs []job) []int32 {
+	n := len(jobs)
+	a := growIdx(w.order, n)
+	runs := append(w.runs[:0], 0) // run starts, then n
 	for i := range jobs {
-		jobs[i].seq = i
-		a[i] = &jobs[i]
+		a[i] = int32(i)
 		if i > 0 && jobs[i].ready < jobs[i-1].ready {
 			runs = append(runs, i)
 		}
 	}
-	runs = append(runs, len(jobs))
-	if len(runs) <= 2 {
-		return a
+	runs = append(runs, n)
+	b := w.merge
+	if len(runs) > 2 {
+		b = growIdx(b, n)
 	}
-	b := make([]*job, len(jobs))
 	for len(runs) > 2 {
-		// Merge runs 2k and 2k+1 into b. Runs stay contiguous in seq, so
-		// taking the left run on equal readiness keeps the seq order.
-		w := 0
+		// Merge runs 2k and 2k+1 into b. Runs stay contiguous in index,
+		// so taking the left run on equal readiness keeps index order.
+		wr := 0
 		for r := 0; r+1 < len(runs); r += 2 {
 			lo, mid, hi := runs[r], runs[r+1], runs[r+1]
 			if r+2 < len(runs) {
@@ -898,7 +1028,7 @@ func arrivalOrder(jobs []job) []*job {
 			}
 			i, j, k := lo, mid, lo
 			for ; i < mid && j < hi; k++ {
-				if a[j].ready < a[i].ready {
+				if jobs[a[j]].ready < jobs[a[i]].ready {
 					b[k] = a[j]
 					j++
 				} else {
@@ -908,12 +1038,22 @@ func arrivalOrder(jobs []job) []*job {
 			}
 			k += copy(b[k:], a[i:mid])
 			copy(b[k:], a[j:hi])
-			runs[w] = lo
-			w++
+			runs[wr] = lo
+			wr++
 		}
-		runs[w] = len(jobs)
-		runs = runs[:w+1]
+		runs[wr] = n
+		runs = runs[:wr+1]
 		a, b = b, a
 	}
+	w.order, w.merge, w.runs = a, b, runs
 	return a
+}
+
+// growIdx returns buf resliced to n, reallocated with headroom when its
+// capacity is short.
+func growIdx(buf []int32, n int) []int32 {
+	if cap(buf) < n {
+		buf = make([]int32, n, n+n/4)
+	}
+	return buf[:n]
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"container/heap"
 	"encoding/json"
 	"math/rand"
 	"sort"
@@ -47,10 +48,10 @@ func optimizedSchedule(t *testing.T, a *let.Analysis) *dma.Schedule {
 
 func TestSimulateCorePreemption(t *testing.T) {
 	jobs := []job{
-		{task: 1, prio: 5, ready: 0, rem: ms(5), release: 0, deadline: ms(100)},
-		{task: 2, prio: 1, ready: ms(2), rem: ms(2), release: ms(2), deadline: ms(100)},
+		{task: 1, prio: 5, ready: 0, rem: ms(5)},
+		{task: 2, prio: 1, ready: ms(2), rem: ms(2)},
 	}
-	simulateCore(jobs, false)
+	new(workspace).simulateCore(jobs, false)
 	if hi := jobs[1].finish; hi != ms(4) {
 		t.Errorf("high-priority finish = %v, want 4ms", hi)
 	}
@@ -61,18 +62,18 @@ func TestSimulateCorePreemption(t *testing.T) {
 
 func TestSimulateCoreIdleGap(t *testing.T) {
 	jobs := []job{
-		{task: 1, prio: 1, ready: 0, rem: ms(1), deadline: ms(10)},
-		{task: 2, prio: 1, ready: ms(5), rem: ms(1), release: ms(5), deadline: ms(15)},
+		{task: 1, prio: 1, ready: 0, rem: ms(1)},
+		{task: 2, prio: 1, ready: ms(5), rem: ms(1)},
 	}
-	simulateCore(jobs, false)
+	new(workspace).simulateCore(jobs, false)
 	if jobs[0].finish != ms(1) || jobs[1].finish != ms(6) {
 		t.Errorf("finishes = %v, %v; want 1ms, 6ms", jobs[0].finish, jobs[1].finish)
 	}
 }
 
 func TestSimulateCoreZeroWCET(t *testing.T) {
-	jobs := []job{{task: 1, prio: 1, ready: ms(3), rem: 0, release: ms(3), deadline: ms(10)}}
-	simulateCore(jobs, false)
+	jobs := []job{{task: 1, prio: 1, ready: ms(3), rem: 0}}
+	new(workspace).simulateCore(jobs, false)
 	if jobs[0].finish != ms(3) {
 		t.Errorf("zero-WCET finish = %v, want 3ms", jobs[0].finish)
 	}
@@ -90,7 +91,8 @@ func TestProposedMatchesAnalytic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, task := range a.Sys.Tasks {
-		for rel, lat := range res.LatencyAt[task.ID] {
+		for k, lat := range res.LatencyAt[task.ID] {
+			rel := timeutil.Time(k) * task.Period
 			t0 := timeutil.Time(int64(rel) % int64(a.H))
 			want := dma.Latency(a, cm, sched, t0, task.ID, dma.PerTaskReadiness)
 			if lat != want {
@@ -112,7 +114,8 @@ func TestGiottoDMAAMatchesAnalytic(t *testing.T) {
 	}
 	per := dma.GiottoPerCommSchedule(a)
 	for _, task := range a.Sys.Tasks {
-		for rel, lat := range res.LatencyAt[task.ID] {
+		for k, lat := range res.LatencyAt[task.ID] {
+			rel := timeutil.Time(k) * task.Period
 			t0 := timeutil.Time(int64(rel) % int64(a.H))
 			want := dma.Latency(a, cm, per, t0, task.ID, dma.AfterAllReadiness)
 			if lat != want {
@@ -375,7 +378,7 @@ func TestAvgLatency(t *testing.T) {
 	}
 }
 
-// TestEqualPriorityFIFO pins the jobHeap tie-break contract: among jobs of
+// TestEqualPriorityFIFO pins the ready heap's tie-break contract: among jobs of
 // equal priority, earlier readiness runs first, and equal (priority, ready)
 // pairs run in arrival (sequence) order. A newly released equal-priority job
 // must NOT preempt the running one — the running job keeps its earlier ready
@@ -390,7 +393,7 @@ func TestEqualPriorityFIFO(t *testing.T) {
 		// to completion at 10 before B starts, so B finishes at 20.
 		jobs := []job{mk(0, 2, ms(0), ms(10)), mk(1, 2, ms(5), ms(10))}
 		jobA, jobB := &jobs[0], &jobs[1]
-		segs := simulateCore(jobs, true)
+		segs := new(workspace).simulateCore(jobs, true)
 		if jobA.finish != ms(10) {
 			t.Errorf("A finished at %v, want 10ms (uninterrupted)", jobA.finish)
 		}
@@ -419,16 +422,16 @@ func TestEqualPriorityFIFO(t *testing.T) {
 	})
 
 	t.Run("equal-ready-runs-in-sequence-order", func(t *testing.T) {
-		// Same priority, same readiness: arrival order (the order jobs are
-		// handed to simulateCore, which assigns seq) decides.
+		// Same priority, same readiness: arrival order (the position in
+		// the list handed to simulateCore) decides.
 		jobs := []job{mk(0, 3, ms(0), ms(4)), mk(1, 3, ms(0), ms(4))}
-		simulateCore(jobs, false)
+		new(workspace).simulateCore(jobs, false)
 		if jobs[0].finish != ms(4) || jobs[1].finish != ms(8) {
 			t.Errorf("finishes A=%v B=%v, want A=4ms B=8ms (FIFO by seq)", jobs[0].finish, jobs[1].finish)
 		}
 		// Swapped input order swaps the outcome symmetrically.
 		swapped := []job{mk(1, 3, ms(0), ms(4)), mk(0, 3, ms(0), ms(4))}
-		simulateCore(swapped, false)
+		new(workspace).simulateCore(swapped, false)
 		if swapped[0].finish != ms(4) || swapped[1].finish != ms(8) {
 			t.Errorf("finishes B=%v A=%v, want B=4ms A=8ms (FIFO by seq)", swapped[0].finish, swapped[1].finish)
 		}
@@ -438,7 +441,7 @@ func TestEqualPriorityFIFO(t *testing.T) {
 		// The tie-break must not weaken real preemption: a higher-priority
 		// (numerically lower) job released mid-run does slice the low one.
 		jobs := []job{mk(0, 5, ms(0), ms(10)), mk(1, 1, ms(5), ms(2))}
-		simulateCore(jobs, false)
+		new(workspace).simulateCore(jobs, false)
 		if hi := jobs[1].finish; hi != ms(7) {
 			t.Errorf("high-priority finished at %v, want 7ms", hi)
 		}
@@ -463,9 +466,194 @@ func TestArrivalOrderIsStableByReadiness(t *testing.T) {
 			want[i] = i
 		}
 		sort.SliceStable(want, func(x, y int) bool { return jobs[want[x]].ready < jobs[want[y]].ready })
-		for i, j := range arrivalOrder(jobs) {
-			if j.seq != want[i] {
-				t.Fatalf("trial %d: position %d holds job %d, want %d", trial, i, j.seq, want[i])
+		for i, j := range new(workspace).arrivalOrder(jobs) {
+			if int(j) != want[i] {
+				t.Fatalf("trial %d: position %d holds job %d, want %d", trial, i, j, want[i])
+			}
+		}
+	}
+}
+
+// refJob is a job numbered by an explicit sequence field, as the
+// pointer-based kernel below numbers it.
+type refJob struct {
+	job
+	seq int
+}
+
+type refSegment struct {
+	j          *refJob
+	start, end timeutil.Time
+}
+
+// refJobHeap orders by priority, then readiness, then sequence.
+type refJobHeap []*refJob
+
+func (h refJobHeap) Len() int { return len(h) }
+func (h refJobHeap) Less(i, j int) bool {
+	if h[i].prio != h[j].prio {
+		return h[i].prio < h[j].prio
+	}
+	if h[i].ready != h[j].ready {
+		return h[i].ready < h[j].ready
+	}
+	return h[i].seq < h[j].seq
+}
+func (h refJobHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refJobHeap) Push(x any)   { *h = append(*h, x.(*refJob)) }
+func (h *refJobHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
+
+// refSimulateCore is the pointer-based scheduling kernel the index-based
+// one replaced: a container/heap ready queue that pops and re-pushes a
+// preempted job.
+func refSimulateCore(jobs []refJob) []refSegment {
+	var segs []refSegment
+	arrivals := refArrivalOrder(jobs)
+	var ready refJobHeap
+	now := timeutil.Time(0)
+	i := 0
+	for i < len(arrivals) || ready.Len() > 0 {
+		if ready.Len() == 0 {
+			if now < arrivals[i].ready {
+				now = arrivals[i].ready
+			}
+		}
+		for i < len(arrivals) && arrivals[i].ready <= now {
+			heap.Push(&ready, arrivals[i])
+			i++
+		}
+		if ready.Len() == 0 {
+			continue
+		}
+		j := heap.Pop(&ready).(*refJob)
+		if j.rem == 0 {
+			j.finish = now
+			continue
+		}
+		var until timeutil.Time
+		if i < len(arrivals) {
+			until = arrivals[i].ready
+		} else {
+			until = now + j.rem
+		}
+		if now+j.rem <= until {
+			segs = append(segs, refSegment{j: j, start: now, end: now + j.rem})
+			now += j.rem
+			j.rem = 0
+			j.finish = now
+		} else {
+			if until > now {
+				segs = append(segs, refSegment{j: j, start: now, end: until})
+			}
+			j.rem -= until - now
+			now = until
+			heap.Push(&ready, j)
+		}
+	}
+	return segs
+}
+
+// refArrivalOrder is the pointer-based arrival order: it numbers jobs by
+// position and merges their natural runs into a []*refJob.
+func refArrivalOrder(jobs []refJob) []*refJob {
+	a := make([]*refJob, len(jobs))
+	runs := []int{0}
+	for i := range jobs {
+		jobs[i].seq = i
+		a[i] = &jobs[i]
+		if i > 0 && jobs[i].ready < jobs[i-1].ready {
+			runs = append(runs, i)
+		}
+	}
+	runs = append(runs, len(jobs))
+	if len(runs) <= 2 {
+		return a
+	}
+	b := make([]*refJob, len(jobs))
+	for len(runs) > 2 {
+		w := 0
+		for r := 0; r+1 < len(runs); r += 2 {
+			lo, mid, hi := runs[r], runs[r+1], runs[r+1]
+			if r+2 < len(runs) {
+				hi = runs[r+2]
+			}
+			i, j, k := lo, mid, lo
+			for ; i < mid && j < hi; k++ {
+				if a[j].ready < a[i].ready {
+					b[k] = a[j]
+					j++
+				} else {
+					b[k] = a[i]
+					i++
+				}
+			}
+			k += copy(b[k:], a[i:mid])
+			copy(b[k:], a[j:hi])
+			runs[w] = lo
+			w++
+		}
+		runs[w] = len(jobs)
+		runs = runs[:w+1]
+		a, b = b, a
+	}
+	return a
+}
+
+// randomJobs draws a job list shaped like a replay's: a few runs sorted
+// by readiness, dense in equal-priority and equal-ready ties, with some
+// zero-length jobs. Each job's task field is its position, to identify it
+// in segments.
+func randomJobs(rng *rand.Rand) []job {
+	var jobs []job
+	for r := rng.Intn(6); r >= 0; r-- {
+		ready := timeutil.Time(rng.Intn(5))
+		for n := rng.Intn(40); n > 0; n-- {
+			ready += timeutil.Time(rng.Intn(3))
+			jobs = append(jobs, job{
+				task:  model.TaskID(len(jobs)),
+				prio:  rng.Intn(4) - 1,
+				ready: ready,
+				rem:   timeutil.Time(rng.Intn(6)),
+			})
+		}
+	}
+	return jobs
+}
+
+// TestKernelMatchesReference: the index-based arrival order and ready
+// heap must reproduce the pointer-based container/heap kernel exactly —
+// the same arrival order, finish times and execution segments — on
+// seeded random job lists, with one workspace reused across all lists.
+func TestKernelMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var w workspace
+	for trial := 0; trial < 2000; trial++ {
+		jobs := randomJobs(rng)
+		ref := make([]refJob, len(jobs))
+		for i := range jobs {
+			ref[i].job = jobs[i]
+		}
+		wantOrder := refArrivalOrder(ref)
+		for i, x := range w.arrivalOrder(jobs) {
+			if int(x) != wantOrder[i].seq {
+				t.Fatalf("trial %d: arrival %d is job %d, reference %d", trial, i, x, wantOrder[i].seq)
+			}
+		}
+		wantSegs := refSimulateCore(ref)
+		segs := w.simulateCore(jobs, true)
+		for i := range jobs {
+			if jobs[i].finish != ref[i].finish {
+				t.Fatalf("trial %d: job %d finishes at %v, reference %v", trial, i, jobs[i].finish, ref[i].finish)
+			}
+		}
+		if len(segs) != len(wantSegs) {
+			t.Fatalf("trial %d: %d segments, reference %d", trial, len(segs), len(wantSegs))
+		}
+		for i, sg := range segs {
+			want := wantSegs[i]
+			if sg.j.task != want.j.task || sg.start != want.start || sg.end != want.end {
+				t.Fatalf("trial %d: segment %d is job %d [%v, %v), reference job %d [%v, %v)",
+					trial, i, sg.j.task, sg.start, sg.end, want.j.task, want.start, want.end)
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package verify
 
 import (
 	"reflect"
-	"sort"
 
 	"letdma/internal/dma"
 	"letdma/internal/faultsim"
@@ -134,19 +133,14 @@ func checkDegradedRun(a *let.Analysis, cm dma.CostModel, sched *dma.Schedule, no
 	// only legitimate at an instant the run declared degraded, or past a
 	// declared halt.
 	for _, task := range a.Sys.Tasks {
-		byRel := res.LatencyAt[task.ID]
-		rels := make([]timeutil.Time, 0, len(byRel))
-		for rel := range byRel {
-			rels = append(rels, rel)
-		}
-		sort.Slice(rels, func(i, j int) bool { return rels[i] < rels[j] })
-		for _, rel := range rels {
+		for k, lat := range res.LatencyAt[task.ID] {
+			rel := timeutil.Time(k) * task.Period
 			if res.Halted && rel >= res.HaltedAt {
 				continue
 			}
 			t0 := timeutil.Time(int64(rel) % int64(a.H))
 			want := dma.Latency(a, cm, sched, t0, task.ID, dma.PerTaskReadiness)
-			if lat := byRel[rel]; lat != want && !res.DegradedAt[rel] {
+			if lat != want && !res.DegradedAt[rel] {
 				vs.Addf(violation.Simulation, "Section V (runtime)",
 					"faultsim %s: task %s released at %v deviates silently: simulated %v, analytic %v, instant not declared degraded",
 					tag, task.Name, rel, lat, want)

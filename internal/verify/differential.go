@@ -1,7 +1,6 @@
 package verify
 
 import (
-	"sort"
 	"strings"
 	"time"
 
@@ -289,16 +288,11 @@ func checkSim(a *let.Analysis, cm dma.CostModel, sched *dma.Schedule, hyperperio
 		return vs
 	}
 	for _, task := range a.Sys.Tasks {
-		byRel := res.LatencyAt[task.ID]
-		rels := make([]timeutil.Time, 0, len(byRel))
-		for rel := range byRel {
-			rels = append(rels, rel)
-		}
-		sort.Slice(rels, func(i, j int) bool { return rels[i] < rels[j] })
-		for _, rel := range rels {
+		for k, lat := range res.LatencyAt[task.ID] {
+			rel := timeutil.Time(k) * task.Period
 			t0 := timeutil.Time(int64(rel) % int64(a.H))
 			want := dma.Latency(a, cm, sched, t0, task.ID, dma.PerTaskReadiness)
-			if lat := byRel[rel]; lat != want {
+			if lat != want {
 				vs.Addf(violation.Simulation, "Section V",
 					"task %s released at %v: simulated latency %v, analytic %v", task.Name, rel, lat, want)
 			}
