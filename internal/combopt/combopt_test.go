@@ -260,7 +260,7 @@ func TestExactNotWorseThanHeuristic(t *testing.T) {
 	trs := perCommTransfers(a)
 	pred := precedences(a, trs)
 	oo := buildOrderObjective(a, trs, nil, dma.MinDelayRatio)
-	_, exactVal, ok := orderExact(transferCosts(a, cm, trs), oo, pred, math.Inf(1))
+	_, exactVal, _, ok := orderExact(transferCosts(a, cm, trs), oo, pred, math.Inf(1))
 	if !ok {
 		t.Fatal("exact order not found")
 	}

@@ -120,7 +120,9 @@ const orderTieTol = 1e-15
 // separates every dropped state from every state on the optimal path by
 // more than that drift accumulates over n levels, so whenever the optimum
 // beats the cutoff the surviving states, their values and their parents
-// are exactly those of the full DP.
+// are exactly those of the full DP. The argument uses only that the bound
+// never exceeds the value of a complete order through the state, so it
+// holds for any valid lower bound, the precedence-closure bound included.
 func cutoffMargin(n int) float64 { return 4 * float64((n+1)*(n+1)) * orderTieTol }
 
 // dpState is one reachable, precedence-closed subset of transfers in the
@@ -143,43 +145,156 @@ func transferCosts(a *let.Analysis, cm dma.CostModel, transfers []dma.Transfer) 
 	return cost
 }
 
+// precedenceClosure returns, per transfer, the bitmask of every transfer
+// that must precede it, directly or through a chain of precedences.
+func precedenceClosure(pred []uint64) []uint64 {
+	clo := slices.Clone(pred)
+	for changed := true; changed; {
+		changed = false
+		for g, c := range clo {
+			next := c
+			for m := c; m != 0; m &= m - 1 {
+				next |= clo[bits.TrailingZeros64(m)]
+			}
+			if next != c {
+				clo[g], changed = next, true
+			}
+		}
+	}
+	return clo
+}
+
+// needMasks returns, per task of oo, the transfers that must have run
+// before the task completes: its own transfers and all their
+// predecessors.
+func needMasks(oo *orderObjective, pred []uint64) []uint64 {
+	clo := precedenceClosure(pred)
+	need := make([]uint64, len(oo.req))
+	for ti, req := range oo.req {
+		need[ti] = req
+		for m := req; m != 0; m &= m - 1 {
+			need[ti] |= clo[bits.TrailingZeros64(m)]
+		}
+	}
+	return need
+}
+
+// maskCosts tabulates the total cost of every subset of the low and of
+// the high half of the transfers, so the cost of any set of transfers is
+// two lookups.
+type maskCosts struct {
+	half   uint
+	lo, hi []int64
+}
+
+func newMaskCosts(cost []int64) maskCosts {
+	half := (len(cost) + 1) / 2
+	return maskCosts{half: uint(half), lo: subsetSums(cost[:half]), hi: subsetSums(cost[half:])}
+}
+
+// subsetSums returns the total cost of every subset of the transfers,
+// indexed by bitmask.
+func subsetSums(cost []int64) []int64 {
+	sums := make([]int64, 1<<uint(len(cost)))
+	for m := 1; m < len(sums); m++ {
+		sums[m] = sums[m&(m-1)] + cost[bits.TrailingZeros(uint(m))]
+	}
+	return sums
+}
+
+// of returns the total cost of the transfers in m.
+func (mc maskCosts) of(m uint64) int64 {
+	return mc.lo[m&(1<<mc.half-1)] + mc.hi[m>>mc.half]
+}
+
+// setBound examines the reachable set s for the given tasks. A task not
+// complete in s finishes no earlier than the cost of s plus its needed
+// transfers outside s, since s is precedence-closed and all of them must
+// still run. s is dead if that time exceeds some task's cap: no valid
+// order passes through s. Otherwise setBound returns the largest ratio
+// those finishing times reach, a lower bound on the value of every
+// complete order through s.
+func setBound(s uint64, tasks []int, mc maskCosts, oo *orderObjective, need []uint64) (lb float64, dead bool) {
+	for _, ti := range tasks {
+		if need[ti]&^s == 0 {
+			continue // task complete in s
+		}
+		lam := float64(mc.of(s | need[ti]))
+		if lam > oo.cap[ti] {
+			return 0, true
+		}
+		if r := lam / oo.denom[ti]; r > lb {
+			lb = r
+		}
+	}
+	return lb, false
+}
+
 // orderExact finds an order of the transfers (with durations cost)
 // minimizing max_i lambda_i/denom_i subject to the precedences and
 // lambda_i <= cap_i, by dynamic programming over subsets. It returns the
-// ordered transfer indices and the objective value, or ok=false if no
-// valid order exists.
+// ordered transfer indices, the objective value and the number of states
+// it expanded, or ok=false if no valid order exists.
 //
-// Only subsets reachable from the empty set are stored: the precedence-
-// closed ones whose completed tasks meet their caps. States are expanded
-// level by level (by subset size) and, within a level, in increasing
-// numeric order. Every predecessor of a state lies in the previous level,
-// so each state is relaxed from its predecessors in increasing numeric
-// order, exactly as a loop over all 2^n subsets would, and the orderTieTol
-// tie-break picks the same parent.
+// Only live subsets reachable from the empty set are stored: the
+// precedence-closed ones that setBound does not find dead. Deadness
+// depends on the set alone, and every set reachable from a dead one is
+// dead too or completes a task past its cap, so a live state never has a
+// dead parent: dropping dead states when they are created changes no live
+// state's value, parent or relaxation order. If the empty set is dead, no
+// state is expanded. From a live set, a transfer that completes a task
+// ends no later than the bound setBound found within the task's cap (a
+// task setBound skips has a cap above the cost of all transfers), so no
+// transition out of a live state breaks a cap.
+//
+// States are expanded level by level (by subset size) and, within a
+// level, in increasing numeric order. Every predecessor of a state lies in
+// the previous level, so each state is relaxed from its predecessors in
+// increasing numeric order, exactly as a loop over all 2^n subsets would,
+// and the orderTieTol tie-break picks the same parent.
 //
 // cutoff is the objective of an incumbent the caller already holds, or
-// +Inf. A state is not expanded once a lower bound on every completion
-// through it reaches cutoff + cutoffMargin(n): the larger of its value and,
-// for each unfinished task, (elapsed + cost of the task's remaining
-// transfers) / denom. If the uncut DP's value is below cutoff, orderExact
-// returns exactly the uncut DP's order and value; otherwise it returns
-// ok=false.
-func orderExact(cost []int64, oo *orderObjective, pred []uint64, cutoff float64) (order []int, val float64, ok bool) {
+// +Inf. A state is dropped once a lower bound on every completion through
+// it reaches cutoff + cutoffMargin(n): the larger of its value, checked
+// when the state is expanded, and setBound's, checked when it is created.
+// If the uncut DP's value is below cutoff, orderExact returns exactly the
+// uncut DP's order and value; otherwise it returns ok=false.
+func orderExact(cost []int64, oo *orderObjective, pred []uint64, cutoff float64) (order []int, val float64, expanded int, ok bool) {
 	n := len(cost)
 	bound := cutoff + cutoffMargin(n)
 	cut := !math.IsInf(cutoff, 1)
 	full := uint64(1)<<uint(n) - 1
+	need := needMasks(oo, pred)
+	mc := newMaskCosts(cost)
+	// A task whose cap is at least the cost of every transfer never makes
+	// a set dead, so without a cutoff setBound skips it.
+	var tasks []int
+	for ti := range need {
+		if cut || float64(mc.of(full)) > oo.cap[ti] {
+			tasks = append(tasks, ti)
+		}
+	}
+	// live reports whether the set s is kept.
+	live := func(s uint64) bool {
+		lb, dead := setBound(s, tasks, mc, oo, need)
+		return !dead && !(cut && lb >= bound)
+	}
 
+	if !live(0) {
+		return nil, 0, 0, false
+	}
 	levels := make([][]dpState, n+1)
 	levels[0] = []dpState{{parent: -1}}
+	const dropped = -1 // index entry of a set found dead or cut
 	index := make(map[uint64]int32)
 	for k := 0; k < n; k++ {
 		var next []dpState
 		clear(index)
 		for _, st := range levels[k] {
-			if cut && lowerBound(st, oo, cost) >= bound {
+			if cut && st.val >= bound {
 				continue
 			}
+			expanded++
 			avail := full &^ st.set
 			for avail != 0 {
 				g := bits.TrailingZeros64(avail)
@@ -191,24 +306,18 @@ func orderExact(cost []int64, oo *orderObjective, pred []uint64, cutoff float64)
 				ns := st.set | bit
 				el := st.elapsed + cost[g]
 				val := st.val
-				valid := true
 				for _, ti := range oo.lastIn[g] {
 					if oo.req[ti]&^ns != 0 {
 						continue // task not yet complete
 					}
-					lam := float64(el)
-					if lam > oo.cap[ti] {
-						valid = false
-						break
-					}
-					if r := lam / oo.denom[ti]; r > val {
+					if r := float64(el) / oo.denom[ti]; r > val {
 						val = r
 					}
 				}
-				if !valid {
+				i, seen := index[ns]
+				if i == dropped {
 					continue
 				}
-				i, seen := index[ns]
 				cur := math.Inf(1) // an unreached state
 				if seen {
 					cur = next[i].val
@@ -217,6 +326,10 @@ func orderExact(cost []int64, oo *orderObjective, pred []uint64, cutoff float64)
 					continue
 				}
 				if !seen {
+					if !live(ns) {
+						index[ns] = dropped
+						continue
+					}
 					index[ns] = int32(len(next))
 					next = append(next, dpState{set: ns, val: val, elapsed: el, parent: int32(g)})
 					continue
@@ -225,7 +338,7 @@ func orderExact(cost []int64, oo *orderObjective, pred []uint64, cutoff float64)
 			}
 		}
 		if len(next) == 0 {
-			return nil, 0, false
+			return nil, 0, expanded, false
 		}
 		slices.SortFunc(next, func(x, y dpState) int { return cmp.Compare(x.set, y.set) })
 		levels[k+1] = next
@@ -233,7 +346,7 @@ func orderExact(cost []int64, oo *orderObjective, pred []uint64, cutoff float64)
 
 	// levels[n] holds only the full set.
 	if val = levels[n][0].val; val >= cutoff {
-		return nil, 0, false
+		return nil, 0, expanded, false
 	}
 	order = make([]int, n)
 	s := full
@@ -243,30 +356,7 @@ func orderExact(cost []int64, oo *orderObjective, pred []uint64, cutoff float64)
 		order[k-1] = g
 		s &^= 1 << uint(g)
 	}
-	return order, val, true
-}
-
-// lowerBound returns a lower bound on the value of every complete order
-// extending st: st's own value, and for each task not yet complete the
-// ratio it reaches if its remaining transfers run next, back to back.
-func lowerBound(st dpState, oo *orderObjective, cost []int64) float64 {
-	lb := st.val
-	for ti, req := range oo.req {
-		rest := req &^ st.set
-		if rest == 0 {
-			continue
-		}
-		el := st.elapsed
-		for rest != 0 {
-			g := bits.TrailingZeros64(rest)
-			rest &^= 1 << uint(g)
-			el += cost[g]
-		}
-		if r := float64(el) / oo.denom[ti]; r > lb {
-			lb = r
-		}
-	}
-	return lb
+	return order, val, expanded, true
 }
 
 // orderHeuristic is deadline-pressure list scheduling: among transfers with

@@ -60,3 +60,36 @@ func TestOrderExactSystems(t *testing.T) {
 		t.Fatal("no ordering problem checked")
 	}
 }
+
+// TestOrderExactWatersInfeasibleAtRoot: at alpha = 0.1 (infeasible in
+// Section VII) the ordering DP decides full WATERS without expanding a
+// state, at every granularity the exact DP handles and under every
+// objective, because some task cannot meet its cap even when its
+// transfers and their predecessors run first.
+func TestOrderExactWatersInfeasibleAtRoot(t *testing.T) {
+	a, err := waters.Analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm := dma.DefaultCostModel()
+	gamma, err := rta.Gammas(a, rta.LETDemand(a, cm, dma.GiottoPerCommSchedule(a)), 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, gran := range []combopt.Granularity{combopt.GranMerged, combopt.GranBundled, combopt.GranPerComm} {
+		for _, obj := range []dma.Objective{dma.NoObjective, dma.MinTransfers, dma.MinDelayRatio} {
+			expanded, ok, exact := combopt.OrderExactStates(t, a, gamma, obj, gran)
+			if !exact {
+				continue
+			}
+			checked++
+			if ok || expanded != 0 {
+				t.Errorf("%s/%s: ok=%v after %d expanded states, want infeasible at the root", gran, obj, ok, expanded)
+			}
+		}
+	}
+	if checked != 9 {
+		t.Errorf("checked %d of 9 granularity/objective pairs: every WATERS granularity should fit the exact DP", checked)
+	}
+}

@@ -39,6 +39,9 @@ type Result struct {
 	NumTransfers int
 	Granularity  Granularity
 	ExactOrder   bool
+	// DPStates counts the states the exact ordering DP expanded, summed
+	// over every granularity the solve tried, infeasible ones included.
+	DPStates int
 }
 
 // Solve builds a feasible memory layout and DMA schedule for the system
@@ -66,6 +69,7 @@ func SolveWithOptions(a *let.Analysis, cm dma.CostModel, gamma dma.Deadlines, ob
 
 	var best *Result
 	var firstErr error
+	states := 0
 	for _, gran := range opts.Granularities {
 		// Under OBJ-DEL a granularity only counts if it beats the
 		// incumbent, so the incumbent's objective bounds its ordering DP.
@@ -73,7 +77,8 @@ func SolveWithOptions(a *let.Analysis, cm dma.CostModel, gamma dma.Deadlines, ob
 		if obj == dma.MinDelayRatio && best != nil {
 			cutoff = best.Objective
 		}
-		res, err := solveAt(a, cm, gamma, obj, gran, cutoff)
+		res, expanded, err := solveAt(a, cm, gamma, obj, gran, cutoff)
+		states += expanded
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -95,6 +100,7 @@ func SolveWithOptions(a *let.Analysis, cm dma.CostModel, gamma dma.Deadlines, ob
 		}
 		return nil, firstErr
 	}
+	best.DPStates = states
 	return best, nil
 }
 
@@ -112,21 +118,24 @@ func better(obj dma.Objective, x, y *Result) bool {
 
 // solveAt builds and orders a solution at one granularity and validates it.
 // cutoff is passed to orderExact: +Inf, or an incumbent objective the
-// result is only useful if it beats.
-func solveAt(a *let.Analysis, cm dma.CostModel, gamma dma.Deadlines, obj dma.Objective, gran Granularity, cutoff float64) (*Result, error) {
+// result is only useful if it beats. It also returns the number of states
+// the ordering DP expanded, whether or not it found a solution.
+func solveAt(a *let.Analysis, cm dma.CostModel, gamma dma.Deadlines, obj dma.Objective, gran Granularity, cutoff float64) (*Result, int, error) {
 	layout, transfers, err := groupAt(a, gran)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	pred := precedences(a, transfers)
 	oo := buildOrderObjective(a, transfers, gamma, obj)
 
 	var sched *dma.Schedule
 	exact := false
+	expanded := 0
 	if len(transfers) <= MaxExactOrderDefault {
-		order, _, ok := orderExact(transferCosts(a, cm, transfers), oo, pred, cutoff)
+		order, _, n, ok := orderExact(transferCosts(a, cm, transfers), oo, pred, cutoff)
+		expanded = n
 		if !ok {
-			return nil, fmt.Errorf("combopt: no order satisfies the deadlines at granularity %s", gran)
+			return nil, expanded, fmt.Errorf("combopt: no order satisfies the deadlines at granularity %s", gran)
 		}
 		sched = applyOrder(transfers, order)
 		exact = true
@@ -135,7 +144,7 @@ func solveAt(a *let.Analysis, cm dma.CostModel, gamma dma.Deadlines, obj dma.Obj
 	}
 
 	if err := dma.Validate(a, cm, layout, sched, gamma); err != nil {
-		return nil, fmt.Errorf("combopt: %s solution invalid: %w", gran, err)
+		return nil, expanded, fmt.Errorf("combopt: %s solution invalid: %w", gran, err)
 	}
 
 	res := &Result{
@@ -166,7 +175,7 @@ func solveAt(a *let.Analysis, cm dma.CostModel, gamma dma.Deadlines, obj dma.Obj
 		}
 		res.Objective = worst
 	}
-	return res, nil
+	return res, expanded, nil
 }
 
 // groupAt builds the layout and the (unordered) transfers of one

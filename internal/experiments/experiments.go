@@ -98,6 +98,9 @@ type Solved struct {
 	MILPStatus string
 	// Objective value under the configured objective.
 	Objective float64
+	// DPStates is the combinatorial solver's ordering-DP state count
+	// (combopt.Result.DPStates).
+	DPStates int
 	// MILP is the raw MILP result, nil when only the combinatorial solver
 	// ran. Callers that certify the result read it together with Gamma:
 	// the letdmad service replays FastSearch incumbents through
@@ -113,9 +116,20 @@ var ErrInfeasible = errors.New("infeasible")
 // SolveProposed derives gamma from the alpha-sensitivity procedure, runs
 // the configured solver(s) and returns the winning solution.
 func SolveProposed(a *let.Analysis, cfg Config) (*Solved, error) {
+	return solveProposed(a, cfg, giottoDemand(a))
+}
+
+// giottoDemand is the LET dispatcher interference of the Giotto per-comm
+// schedule, the demand the alpha-sensitivity procedure derives gamma
+// from. It does not depend on alpha, so a sweep computes it once.
+func giottoDemand(a *let.Analysis) map[model.CoreID]rta.LETInterference {
+	return rta.LETDemand(a, dma.DefaultCostModel(), dma.GiottoPerCommSchedule(a))
+}
+
+// solveProposed is SolveProposed with the Giotto demand intf supplied.
+func solveProposed(a *let.Analysis, cfg Config, intf map[model.CoreID]rta.LETInterference) (*Solved, error) {
 	cfg.fill()
 	cm := dma.DefaultCostModel()
-	intf := rta.LETDemand(a, cm, dma.GiottoPerCommSchedule(a))
 	var gamma dma.Deadlines
 	if cfg.Alpha > 0 {
 		var err error
@@ -137,6 +151,7 @@ func SolveProposed(a *let.Analysis, cfg Config) (*Solved, error) {
 		NumTransfers: comb.NumTransfers,
 		Objective:    comb.Objective,
 		SolveTime:    time.Since(start),
+		DPStates:     comb.DPStates,
 	}
 	if cfg.Solver == SolverMILP {
 		res, err := letopt.Solve(a, cm, gamma, cfg.Objective, letopt.Options{
@@ -280,13 +295,14 @@ type TableIRow struct {
 // running time and the number of DMA transfers at s0. Rows are
 // objective-major, alpha-minor.
 func TableI(a *let.Analysis, alphas []float64, base Config) ([]TableIRow, error) {
+	intf := giottoDemand(a)
 	var rows []TableIRow
 	for _, obj := range []dma.Objective{dma.NoObjective, dma.MinTransfers, dma.MinDelayRatio} {
 		for _, alpha := range alphas {
 			cfg := base
 			cfg.Alpha = alpha
 			cfg.Objective = obj
-			solved, err := SolveProposed(a, cfg)
+			solved, err := solveProposed(a, cfg, intf)
 			if err != nil {
 				return nil, err
 			}
@@ -351,16 +367,18 @@ type SensitivityRow struct {
 	Feasible bool
 	Reason   string
 	MaxRatio float64 // max lambda_i/T_i of the solution when feasible
+	DPStates int     // Solved.DPStates of the solution when feasible
 }
 
 // Sensitivity sweeps alpha as in Section VII (alpha in {0.1, ..., 0.5}).
 func Sensitivity(a *let.Analysis, alphas []float64, base Config) []SensitivityRow {
+	intf := giottoDemand(a)
 	var out []SensitivityRow
 	for _, alpha := range alphas {
 		cfg := base
 		cfg.Alpha = alpha
 		cfg.Objective = dma.MinDelayRatio
-		solved, err := SolveProposed(a, cfg)
+		solved, err := solveProposed(a, cfg, intf)
 		if err != nil {
 			out = append(out, SensitivityRow{Alpha: alpha, Feasible: false, Reason: trimErr(err)})
 			continue
@@ -370,6 +388,7 @@ func Sensitivity(a *let.Analysis, alphas []float64, base Config) []SensitivityRo
 			Alpha:    alpha,
 			Feasible: true,
 			MaxRatio: dma.MaxLatencyRatio(a, cm, solved.Sched, dma.PerTaskReadiness),
+			DPStates: solved.DPStates,
 		})
 	}
 	return out
