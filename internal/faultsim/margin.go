@@ -149,7 +149,9 @@ func newReplayer(cfg *MarginConfig) (*replayer, error) {
 
 // clean runs the protocol fault-free with copies slowed to
 // permille/1000 of nominal and reports whether LET semantics held
-// (zero deadline misses, zero Property-3 violations).
+// (zero deadline misses, zero Property-3 violations). A replay that
+// spills a window is not clean, so it stops there, before the cores are
+// scheduled.
 func (r *replayer) clean(permille int64) (bool, error) {
 	r.searchReplays++
 	sc := r.cfg.simConfig()
@@ -161,12 +163,9 @@ func (r *replayer) clean(permille int64) (bool, error) {
 	} else {
 		sc.Cost = scaleCost(sc.Cost, permille)
 	}
-	res, err := r.plan.Run(sc)
-	if err != nil {
+	res, spilled, err := r.plan.RunUnlessSpilled(sc)
+	if err != nil || spilled {
 		return false, err
-	}
-	if res.Property3Violations > 0 {
-		return false, nil
 	}
 	for _, task := range r.cfg.Analysis.Sys.Tasks {
 		if res.Stats[task.ID].Misses > 0 {

@@ -266,12 +266,14 @@ type Result struct {
 	// (codes overrun, retry-exhausted, stale-read), in replay order. Nil
 	// when Inject was nil or no fault manifested.
 	Violations violation.List
-	// DegradedAt marks the absolute instants whose transfer sequence
-	// deviated from the nominal replay in any way (inflated copy time,
-	// retry, failure, overrun, or a start delayed by an earlier spill).
-	// At instants not in the set, simulated latencies equal the analytic
-	// prediction; the verification oracle relies on that contract.
-	DegradedAt map[timeutil.Time]bool
+	// DegradedAt lists, in increasing order and without repeats, the
+	// absolute instants whose transfer sequence deviated from the nominal
+	// replay in any way (inflated copy time, retry, failure, overrun, or a
+	// start delayed by an earlier spill); look one up with
+	// slices.BinarySearch. At instants not listed, simulated latencies
+	// equal the analytic prediction; the verification oracle relies on
+	// that contract.
+	DegradedAt []timeutil.Time
 	// Retries counts transient-error retries across the run.
 	Retries int
 	// AbortedTransfers counts transfers skipped or failed permanently.
@@ -441,14 +443,31 @@ func NewPlan(cfg Config) (*Plan, error) {
 // Protocol and Hyperperiods; Cost, CPUCost, Inject, Policy and Trace are
 // free per run. The returned Result shares no memory with the plan.
 func (p *Plan) Run(cfg Config) (*Result, error) {
+	res, _, err := p.run(cfg, false)
+	return res, err
+}
+
+// RunUnlessSpilled is Run for callers that only need runs in which every
+// communication sequence ends inside its window, such as the search for
+// the largest slowdown that keeps LET semantics. It stops the replay at
+// the first sequence that spills past the next communication instant (a
+// Property 3 violation) and then reports spilled with no Result, without
+// scheduling the cores. Otherwise it returns Run's Result.
+func (p *Plan) RunUnlessSpilled(cfg Config) (res *Result, spilled bool, err error) {
+	return p.run(cfg, true)
+}
+
+// run is Run, stopping at the first spilled window when stopAtSpill is
+// set (see RunUnlessSpilled).
+func (p *Plan) run(cfg Config, stopAtSpill bool) (*Result, bool, error) {
 	if err := cfg.validate(); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if cfg.Hyperperiods == 0 {
 		cfg.Hyperperiods = 1
 	}
 	if cfg.Analysis != p.a || cfg.Sched != p.sched || cfg.Protocol != p.protocol || cfg.Hyperperiods != p.hyperperiods {
-		return nil, fmt.Errorf("sim: Config does not match the plan (Analysis, Sched, Protocol and Hyperperiods must be the plan's)")
+		return nil, false, fmt.Errorf("sim: Config does not match the plan (Analysis, Sched, Protocol and Hyperperiods must be the plan's)")
 	}
 	if cfg.CPUCost.CopyNsDen == 0 {
 		cfg.CPUCost = dma.CPUCopyCostModel()
@@ -459,7 +478,10 @@ func (p *Plan) Run(cfg Config) (*Result, error) {
 	}
 	a := p.a
 	w := &p.ws
-	tl := p.replay(cost, cfg.Trace, cfg.Inject, cfg.Policy)
+	tl := p.replay(cost, cfg.Trace, cfg.Inject, cfg.Policy, stopAtSpill)
+	if stopAtSpill && tl.p3viol > 0 {
+		return nil, true, nil
+	}
 
 	res := &Result{
 		Stats:               make(map[model.TaskID]*TaskStats, len(a.Sys.Tasks)),
@@ -538,7 +560,7 @@ func (p *Plan) Run(cfg Config) (*Result, error) {
 			}
 		}
 	}
-	return res, nil
+	return res, false, nil
 }
 
 // effectiveSchedule resolves the transfer schedule and readiness rule of
@@ -565,7 +587,7 @@ type timeline struct {
 	ovs      []overhead
 	p3viol   int
 	vs       violation.List
-	degraded map[timeutil.Time]bool
+	degraded []timeutil.Time
 	retries  int
 	aborted  int
 	stale    int
@@ -656,12 +678,12 @@ func (w *workspace) jobLists(p *Plan, ovs []overhead) [][]job {
 }
 
 // markDegraded records that the sequence at absolute instant t deviated
-// from the nominal replay.
+// from the nominal replay. The replay walks instants in increasing order,
+// so the list stays sorted when t is appended only if it is new.
 func (tl *timeline) markDegraded(t timeutil.Time) {
-	if tl.degraded == nil {
-		tl.degraded = make(map[timeutil.Time]bool)
+	if n := len(tl.degraded); n == 0 || tl.degraded[n-1] != t {
+		tl.degraded = append(tl.degraded, t)
 	}
-	tl.degraded[t] = true
 }
 
 // transferName names induced transfer gi at instant t0 ("d3@5ms") in
@@ -705,8 +727,9 @@ func (tl *timeline) charge(s timeutil.Time, core model.CoreID, cost dma.CostMode
 // readiness times, CPU overhead slices, the number of Property-3
 // violations and, when inj is non-nil, the structured fault report.
 // Under Giotto-CPU the copy time itself is also charged to the local
-// core.
-func (p *Plan) replay(cost dma.CostModel, tr *trace.Trace, inj Injector, policy DegradePolicy) *timeline {
+// core. With stopAtSpill set it returns at the first sequence that spills
+// past its window, with p3viol = 1 and the rest of the timeline unplayed.
+func (p *Plan) replay(cost dma.CostModel, tr *trace.Trace, inj Injector, policy DegradePolicy, stopAtSpill bool) *timeline {
 	a := p.a
 	cpuCopies := p.protocol == GiottoCPU
 	tl := p.ws.reset(p, inj != nil)
@@ -827,6 +850,9 @@ func (p *Plan) replay(cost dma.CostModel, tr *trace.Trace, inj Injector, policy 
 			// never spills (aborts keep the sequence inside the window).
 			if end > next {
 				tl.p3viol++
+				if stopAtSpill {
+					return tl
+				}
 				if inj != nil {
 					tl.vs.Addf(violation.Overrun, "Constraint 10",
 						"sequence at t=%v ends %v past the window end %v", t, end-next, next)

@@ -201,3 +201,50 @@ func TestPlanReuseLeavesResultsIntact(t *testing.T) {
 		}
 	}
 }
+
+// TestRunUnlessSpilledMatchesRun: on one reused Plan, RunUnlessSpilled
+// reports a spill exactly when Run counts a Property 3 violation, and
+// otherwise returns Run's Result, over the replay corpus, the four
+// protocols and copy slowdowns on both sides of each schedule's margin. A
+// replay cut short at a spill leaves nothing behind for the next one.
+func TestRunUnlessSpilledMatchesRun(t *testing.T) {
+	spills, clean := 0, 0
+	for _, s := range replayCorpus(t) {
+		for _, proto := range protocols {
+			base := sim.Config{Analysis: s.a, Cost: dma.DefaultCostModel(), CPUCost: dma.CPUCopyCostModel(), Sched: s.sched, Protocol: proto}
+			plan, err := sim.NewPlan(base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, slow := range []int64{1, 400, 4000, 40000, 1} {
+				cfg := base
+				cfg.Cost.CopyNsNum *= slow
+				cfg.CPUCost.CopyNsNum *= slow
+				want, err := sim.Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, spilled, err := plan.RunUnlessSpilled(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				switch {
+				case spilled != (want.Property3Violations > 0):
+					t.Fatalf("%s/%v x%d: spilled=%v, Run counts %d Property 3 violations", s.name, proto, slow, spilled, want.Property3Violations)
+				case spilled && got != nil:
+					t.Fatalf("%s/%v x%d: a spilled run returned a Result", s.name, proto, slow)
+				case !spilled && !reflect.DeepEqual(got, want):
+					t.Fatalf("%s/%v x%d: RunUnlessSpilled's Result differs from Run's", s.name, proto, slow)
+				}
+				if spilled {
+					spills++
+				} else {
+					clean++
+				}
+			}
+		}
+	}
+	if spills == 0 || clean == 0 {
+		t.Errorf("%d spilled and %d clean replays: the sweep must hold both", spills, clean)
+	}
+}

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"reflect"
+	"slices"
 
 	"letdma/internal/dma"
 	"letdma/internal/faultsim"
@@ -140,7 +141,7 @@ func checkDegradedRun(a *let.Analysis, cm dma.CostModel, sched *dma.Schedule, no
 			}
 			t0 := timeutil.Time(int64(rel) % int64(a.H))
 			want := dma.Latency(a, cm, sched, t0, task.ID, dma.PerTaskReadiness)
-			if lat != want && !res.DegradedAt[rel] {
+			if _, degraded := slices.BinarySearch(res.DegradedAt, rel); lat != want && !degraded {
 				vs.Addf(violation.Simulation, "Section V (runtime)",
 					"faultsim %s: task %s released at %v deviates silently: simulated %v, analytic %v, instant not declared degraded",
 					tag, task.Name, rel, lat, want)
