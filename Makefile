@@ -30,15 +30,16 @@ letvet:
 	$(GO) run ./cmd/letvet -tests ./...
 
 # Benchmarks as run by the CI bench job, each diffed against its committed
-# snapshot: the solver benchmarks against BENCH_milp.json, the simulator
-# and robustness-margin benchmarks against BENCH_sim.json. Deterministic
-# counter drift (lp_iters, nodes, warm_hits, warm_expands, eta_nnz,
-# ftran_avg_nnz, transfers, replays) means the solver trajectory or the
-# margin search changed; `make bench-update` refreshes
+# snapshot: the solver benchmarks against BENCH_milp.json, the simulator,
+# sensitivity-sweep and robustness-margin benchmarks against
+# BENCH_sim.json. Deterministic counter drift (lp_iters, nodes, warm_hits,
+# warm_expands, eta_nnz, ftran_avg_nnz, transfers, replays, dp_states)
+# means the solver trajectory, the margin search or the ordering DP's
+# pruning changed; `make bench-update` refreshes
 # both snapshots after an intentional change. Both lanes record B/op and
 # allocs/op (-benchmem); those are reported, not gated.
 MILP_BENCH = BenchmarkWarmStartBnB|BenchmarkFastSearchBnB
-SIM_BENCH = BenchmarkRobustness|BenchmarkSimulator
+SIM_BENCH = BenchmarkRobustness|BenchmarkSimulator|BenchmarkSensitivity
 
 bench:
 	$(GO) test -run '^$$' -bench '$(MILP_BENCH)' -benchmem -benchtime 1x -count 3 . | tee bench.txt

@@ -13,11 +13,12 @@
 //	BenchmarkFastSearchBnB     MILP discovery solve, DFS vs FastSearch
 //	BenchmarkWarmStartBnB      MILP proof re-solve, warm vs cold node solves
 //	BenchmarkSimulator         runtime substrate (one hyperperiod)
+//	BenchmarkSensitivity       Section VII alpha sweep (combopt ordering DP)
 //	BenchmarkRobustness        robustness margins (beyond the paper)
 //
 // "transfers" is the proved OBJ-DMAT optimum, and lp_iters, warm_hits,
-// warm_expands, eta_nnz, ftran_avg_nnz and replays are deterministic
-// counters; benchjson gates all of them exactly.
+// warm_expands, eta_nnz, ftran_avg_nnz, dp_states and replays are
+// deterministic counters; benchjson gates all of them exactly.
 package letdma
 
 import (
@@ -196,6 +197,28 @@ func BenchmarkSimulator(b *testing.B) {
 			b.Fatal("unexpected Property 3 violations")
 		}
 	}
+}
+
+// BenchmarkSensitivity measures the paper's Section VII alpha sweep on the
+// full case study: an OBJ-DEL combinatorial solve per alpha in 0.1-0.5,
+// alpha = 0.1 infeasible. Most of its time is combopt's ordering DP;
+// "dp_states" counts the states that DP expanded over the feasible solves.
+// It is deterministic, so a change in the DP's pruning shows as an exact
+// drift.
+func BenchmarkSensitivity(b *testing.B) {
+	a := fullWaters(b)
+	alphas := []float64{0.1, 0.2, 0.3, 0.4, 0.5}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var states int
+	for i := 0; i < b.N; i++ {
+		rows := experiments.Sensitivity(a, alphas, experiments.Config{})
+		states = 0
+		for _, r := range rows {
+			states += r.DPStates
+		}
+	}
+	b.ReportMetric(float64(states), "dp_states")
 }
 
 // BenchmarkRobustness measures the robustness-margin experiment on the

@@ -1,8 +1,8 @@
 // Command benchjson converts the text output of `go test -bench` into a
 // small JSON document, so CI can archive solver and simulator benchmarks
 // (LP iteration counts, warm_hits and warm_expands, node counts, margin
-// search replays) as a machine-readable artifact next to the
-// human-readable benchstat diff.
+// search replays, ordering-DP states) as a machine-readable artifact
+// next to the human-readable benchstat diff.
 //
 // Usage:
 //
@@ -13,8 +13,9 @@
 // With -diff, the parsed input is compared against a previously committed
 // JSON snapshot and a per-metric delta table is printed instead of JSON.
 // Deterministic metrics (lp_iters, nodes, warm_hits, warm_expands,
-// transfers, replays) that drift are marked, since they change only when
-// the solver trajectory, the proved optimum or the margin search changes;
+// transfers, replays, dp_states) that drift are marked, since they change
+// only when the solver trajectory, the proved optimum, the margin search
+// or the ordering DP's pruning changes;
 // timing metrics are reported as ratios and never marked.
 //
 // The parser understands the standard benchmark line format
@@ -113,12 +114,14 @@ func parse(r io.Reader) (*Doc, error) {
 // deterministicMetrics are values that are a pure function of the search
 // that produced them — the solver trajectory and its sparse-kernel activity
 // (eta-file entries, mean FTRAN result nonzeros), the proved optimum
-// ("transfers", equal on every engine), or the number of simulator replays
-// of the robustness-margin search: any drift means the search itself
-// changed, not the machine it ran on.
+// ("transfers", equal on every engine), the number of simulator replays
+// of the robustness-margin search, or the states combopt's ordering DP
+// expanded ("dp_states"): any drift means the search itself changed, not
+// the machine it ran on.
 var deterministicMetrics = map[string]bool{
 	"lp_iters": true, "nodes": true, "warm_hits": true, "warm_expands": true,
 	"eta_nnz": true, "ftran_avg_nnz": true, "transfers": true, "replays": true,
+	"dp_states": true,
 }
 
 // fold aggregates repeated runs of the same benchmark (-count > 1): the

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -139,6 +140,51 @@ func TestReplaysDrift(t *testing.T) {
 	}
 	if len(drifted) != 1 || !strings.Contains(drifted[0], " replays ") {
 		t.Fatalf("want exactly the replays row marked as drift, got %q:\n%s", drifted, text)
+	}
+}
+
+// TestDPStatesDrift: the states combopt's ordering DP expands over the
+// sensitivity sweep are deterministic, so every committed
+// BenchmarkSensitivity run in BENCH_sim.json reports the same count, and
+// a change in it is marked as drift while the timing and allocation
+// columns of the same line are not.
+func TestDPStatesDrift(t *testing.T) {
+	data, err := os.ReadFile("../../BENCH_sim.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var committed Doc
+	if err := json.Unmarshal(data, &committed); err != nil {
+		t.Fatal(err)
+	}
+	var counts []float64
+	for _, b := range committed.Benchmarks {
+		if v, ok := b.Metrics["dp_states"]; ok && strings.HasPrefix(b.Name, "BenchmarkSensitivity") {
+			counts = append(counts, v)
+		}
+	}
+	if len(counts) == 0 || slices.Min(counts) != slices.Max(counts) {
+		t.Fatalf("committed BenchmarkSensitivity dp_states = %v, want one count on every run", counts)
+	}
+
+	const sens = "BenchmarkSensitivity-2 \t 3\t 10024033 ns/op\t 7126 dp_states\t 4008792 B/op\t 10007 allocs/op\n"
+	snapshot := filepath.Join(t.TempDir(), "BENCH_sim.json")
+	if err := run([]string{"-o", snapshot}, strings.NewReader(sens), &bytes.Buffer{}); err != nil {
+		t.Fatal(err)
+	}
+	fresh := strings.NewReplacer("7126 dp_states", "7127 dp_states", "10024033", "38000000", "10007", "12149").Replace(sens)
+	var out bytes.Buffer
+	if err := run([]string{"-diff", snapshot}, strings.NewReader(fresh), &out); err != nil {
+		t.Fatal(err)
+	}
+	var drifted []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if strings.HasSuffix(line, "DRIFT") {
+			drifted = append(drifted, line)
+		}
+	}
+	if len(drifted) != 1 || !strings.Contains(drifted[0], " dp_states ") {
+		t.Fatalf("want exactly the dp_states row marked as drift, got %q:\n%s", drifted, out.String())
 	}
 }
 
