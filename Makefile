@@ -35,7 +35,8 @@ letvet:
 # BENCH_sim.json. Deterministic counter drift (lp_iters, nodes, warm_hits,
 # warm_expands, eta_nnz, ftran_avg_nnz, transfers, replays, dp_states)
 # means the solver trajectory, the margin search or the ordering DP's
-# pruning changed; `make bench-update` refreshes
+# pruning changed (replays counts the margin search's simulator replays
+# beyond its closed-form spill bound); `make bench-update` refreshes
 # both snapshots after an intentional change. Both lanes record B/op and
 # allocs/op (-benchmem); those are reported, not gated.
 MILP_BENCH = BenchmarkWarmStartBnB|BenchmarkFastSearchBnB

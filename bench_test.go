@@ -225,8 +225,10 @@ func BenchmarkSensitivity(b *testing.B) {
 // full case study (seed 7, two survival trials per rate): one schedule
 // solve, then a critical-slowdown search and a survival sweep per
 // protocol, all replayed through the simulator. "replays" counts the
-// fault-free replays of the four slowdown searches; it is deterministic,
-// so a change in search cost shows as an exact drift.
+// fault-free replays of the four slowdown searches: 3, one confirming
+// replay per DMA protocol, whose margins are spill-bound, and none for
+// Giotto-CPU, whose nominal copies already overrun a window. It is
+// deterministic, so a change in search cost shows as an exact drift.
 func BenchmarkRobustness(b *testing.B) {
 	a := fullWaters(b)
 	cfg := experiments.Config{Alpha: 0.2, Objective: dma.MinDelayRatio}

@@ -115,7 +115,8 @@ func parse(r io.Reader) (*Doc, error) {
 // that produced them — the solver trajectory and its sparse-kernel activity
 // (eta-file entries, mean FTRAN result nonzeros), the proved optimum
 // ("transfers", equal on every engine), the number of simulator replays
-// of the robustness-margin search, or the states combopt's ordering DP
+// the robustness-margin search runs beyond its closed-form spill bound
+// ("replays"), or the states combopt's ordering DP
 // expanded ("dp_states"): any drift means the search itself changed, not
 // the machine it ran on.
 var deterministicMetrics = map[string]bool{

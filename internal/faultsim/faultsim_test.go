@@ -265,11 +265,12 @@ func bisectSlowdown(t *testing.T, cfg MarginConfig) int64 {
 	return lo
 }
 
-// TestCriticalSlowdownMatchesBisection: the galloping search must find
-// exactly the boundary a plain bisection finds, for every protocol and
-// for caps at nominal, between nominal and the margin, and far above it.
-func TestCriticalSlowdownMatchesBisection(t *testing.T) {
-	a, err := let.Analyze(waters.Lite())
+// TestSearchReplaysOnWaters: on the case study the margin of every DMA
+// protocol is spill-bound, so its search costs the one confirming
+// replay, and Giotto-CPU's nominal CPU copies already overrun a window,
+// so its search replays nothing.
+func TestSearchReplaysOnWaters(t *testing.T) {
+	a, err := waters.Analyze()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,20 +280,16 @@ func TestCriticalSlowdownMatchesBisection(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, proto := range []sim.Protocol{sim.Proposed, sim.GiottoCPU, sim.GiottoDMAA, sim.GiottoDMAB} {
-		for _, limit := range []int64{1000, 1500, 2000, 8000, 16000, 1024000} {
-			cfg := MarginConfig{Analysis: a, Cost: cm, Sched: solved.Sched, Protocol: proto, MaxSlowdownPermille: limit}
-			got, err := testReplayer(t, cfg).criticalSlowdown()
-			if err != nil {
-				t.Fatal(err)
+		got, replays := SearchSlowdown(t, MarginConfig{Analysis: a, Cost: cm, Sched: solved.Sched, Protocol: proto})
+		want := 1
+		if proto == sim.GiottoCPU {
+			want = 0
+			if got != 0 {
+				t.Errorf("%v: critical slowdown %d, want 0", proto, got)
 			}
-			if want := bisectSlowdown(t, cfg); got != want {
-				t.Errorf("%v cap %d: gallop found %d, bisection %d", proto, limit, got, want)
-			}
-			// Every lite margin lies below the widest cap; a zero CPUCost
-			// must default to the CPU copy model, not stay unscaled.
-			if limit == 1024000 && got == limit {
-				t.Errorf("%v: search hit the %d cap", proto, limit)
-			}
+		}
+		if replays != want {
+			t.Errorf("%v: the search ran %d replays, want %d", proto, replays, want)
 		}
 	}
 }

@@ -1,8 +1,9 @@
 // Robustness-margin analysis: how far can the platform degrade before an
 // optimized schedule stops meeting LET semantics, and how often does it
-// survive a given fault rate. Both metrics are computed by replaying the
+// survive a given fault rate. Both metrics come from replaying the
 // schedule through the discrete-event simulator — the analytic bounds of
-// the MILP say nothing about faulted runs.
+// the MILP say nothing about faulted runs — except where a fault-free run
+// spills a window, which Constraint 10 decides without a replay.
 package faultsim
 
 import (
@@ -93,8 +94,10 @@ type Margin struct {
 	// clean.
 	CriticalSlowdownPermille int64
 	// SearchReplays is the number of fault-free replays the
-	// critical-slowdown search ran; the survival curve adds
-	// len(Rates)*Trials more.
+	// critical-slowdown search ran: 0 when the nominal transfer costs
+	// already overrun a window, 1 when the largest spill-free slowdown
+	// also meets every deadline, more only when deadline misses come
+	// first. The survival curve adds len(Rates)*Trials more.
 	SearchReplays int
 	Survival      []SurvivalPoint
 }
@@ -147,6 +150,28 @@ func newReplayer(cfg *MarginConfig) (*replayer, error) {
 	return &replayer{cfg: cfg, plan: plan}, nil
 }
 
+// slowed is the fault-free sim.Config with copies slowed to
+// permille/1000 of nominal. Giotto-CPU performs its copies on the CPUs,
+// so the interference slowdown applies to the CPU copy model there; the
+// DMA protocols slow the engine.
+func (r *replayer) slowed(permille int64) sim.Config {
+	sc := r.cfg.simConfig()
+	if r.cfg.Protocol == sim.GiottoCPU {
+		sc.CPUCost = scaleCost(sc.CPUCost, permille)
+	} else {
+		sc.Cost = scaleCost(sc.Cost, permille)
+	}
+	return sc
+}
+
+// spillFree reports whether every communication sequence of the
+// fault-free run at permille ends inside its window (Constraint 10). It
+// sums transfer costs and replays nothing.
+func (r *replayer) spillFree(permille int64) (bool, error) {
+	spills, err := r.plan.Spills(r.slowed(permille))
+	return !spills, err
+}
+
 // clean runs the protocol fault-free with copies slowed to
 // permille/1000 of nominal and reports whether LET semantics held
 // (zero deadline misses, zero Property-3 violations). A replay that
@@ -154,16 +179,7 @@ func newReplayer(cfg *MarginConfig) (*replayer, error) {
 // scheduled.
 func (r *replayer) clean(permille int64) (bool, error) {
 	r.searchReplays++
-	sc := r.cfg.simConfig()
-	// Giotto-CPU performs its copies on the CPUs, so the interference
-	// slowdown applies to the CPU copy model there; the DMA protocols
-	// slow the engine.
-	if r.cfg.Protocol == sim.GiottoCPU {
-		sc.CPUCost = scaleCost(sc.CPUCost, permille)
-	} else {
-		sc.Cost = scaleCost(sc.Cost, permille)
-	}
-	res, spilled, err := r.plan.RunUnlessSpilled(sc)
+	res, spilled, err := r.plan.RunUnlessSpilled(r.slowed(permille))
 	if err != nil || spilled {
 		return false, err
 	}
@@ -177,51 +193,66 @@ func (r *replayer) clean(permille int64) (bool, error) {
 
 // criticalSlowdown finds the largest uniform copy slowdown (permille) in
 // [1000, MaxSlowdownPermille] whose fault-free run is clean. Failure is
-// monotone in the slowdown for these replay semantics, so a doubling
-// gallop from 1000 brackets the boundary and a bisection of the bracket
-// finds it exactly. A margin of m permille costs about log2(m/1000) + 2
-// gallop replays plus log2(m/2) bisection replays, so the search is
-// cheapest for the small margins real schedules have.
+// monotone in the slowdown for these replay semantics. A spill fails a
+// run, and whether one occurs is Constraint 10 at the slowed cost model,
+// so the search first finds ps, the largest spill-free slowdown, without
+// a replay. If ps's run also meets every deadline, ps is the margin,
+// since ps+1 spills: one replay. Otherwise deadline misses set in below
+// ps, and the search replays its way to the boundary in [1000, ps).
 func (r *replayer) criticalSlowdown() (int64, error) {
-	lo := int64(1000)
-	ok, err := r.clean(lo)
+	const nominal = 1000
+	ok, err := r.spillFree(nominal)
+	if err != nil || !ok {
+		return 0, err // the nominal transfer costs already overrun a window
+	}
+	ps, err := gallop(nominal, max(nominal, r.cfg.MaxSlowdownPermille), r.spillFree)
 	if err != nil {
 		return 0, err
 	}
-	if !ok {
-		return 0, nil // the nominal run already breaks LET semantics
+	if ok, err := r.clean(ps); err != nil || ok {
+		return ps, err
 	}
-	hi := r.cfg.MaxSlowdownPermille
-	if hi <= lo {
-		return lo, nil
+	if ps == nominal {
+		return 0, nil // the nominal run misses a deadline
 	}
-	// Gallop: double the clean bound until a run fails or the cap is
-	// clean. Afterwards lo is clean and hi fails.
+	if ok, err := r.clean(nominal); err != nil || !ok {
+		return 0, err
+	}
+	return gallop(nominal, ps-1, r.clean)
+}
+
+// gallop returns the largest p in [lo, hi] for which ok holds, given
+// that ok(lo) holds and that ok, once false, stays false. It doubles lo
+// until a probe fails or hi holds, then bisects the last doubling, so a
+// boundary at m costs about log2(m/lo) + 2 probes plus log2(m/2): the
+// cost follows the boundary, not hi.
+func gallop(lo, hi int64, ok func(int64) (bool, error)) (int64, error) {
 	for {
+		if lo >= hi {
+			return lo, nil
+		}
 		probe := hi
 		if lo <= hi/2 {
 			probe = 2 * lo
 		}
-		ok, err := r.clean(probe)
+		good, err := ok(probe)
 		if err != nil {
 			return 0, err
 		}
-		if !ok {
+		if !good {
 			hi = probe
 			break
 		}
-		if probe == hi {
-			return hi, nil
-		}
 		lo = probe
 	}
+	// Bisect: lo holds and hi fails.
 	for lo+1 < hi {
 		mid := lo + (hi-lo)/2
-		ok, err := r.clean(mid)
+		good, err := ok(mid)
 		if err != nil {
 			return 0, err
 		}
-		if ok {
+		if good {
 			lo = mid
 		} else {
 			hi = mid

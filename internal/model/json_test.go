@@ -63,6 +63,27 @@ func TestFromJSONExplicitPriorities(t *testing.T) {
 	}
 }
 
+// TestFromJSONRejectsNegativePriority: a negative priority would rank a
+// task above the LET overheads, which the simulator and the response-time
+// analysis both place above every task, so it is an error naming the task.
+func TestFromJSONRejectsNegativePriority(t *testing.T) {
+	in := `{
+  "cores": 1,
+  "tasks": [
+    {"name": "a", "period_us": 1000, "wcet_us": 0, "core": 0, "priority": 0},
+    {"name": "rogue", "period_us": 2000, "wcet_us": 0, "core": 0, "priority": -5}
+  ],
+  "labels": []
+}`
+	_, err := FromJSON(strings.NewReader(in))
+	if err == nil {
+		t.Fatal("a negative priority was accepted")
+	}
+	if !strings.Contains(err.Error(), `"rogue"`) || !strings.Contains(err.Error(), "-5") {
+		t.Errorf("error %q does not name the task and its priority", err)
+	}
+}
+
 func TestFromJSONErrors(t *testing.T) {
 	cases := map[string]string{
 		"bad json":       `{`,

@@ -293,12 +293,19 @@ func (s *System) Communicates(a, b *Task) bool {
 	return len(s.SharedBetween(a, b)) > 0 || len(s.SharedBetween(b, a)) > 0
 }
 
-// Validate checks structural consistency: per-core priority uniqueness,
-// reader/writer IDs in range, and utilization not exceeding 1 per core
-// (necessary condition for the schedulability hypothesis of Section III-A).
+// Validate checks structural consistency: non-negative priorities unique
+// per core, reader/writer IDs in range, and utilization not exceeding 1
+// per core (necessary condition for the schedulability hypothesis of
+// Section III-A). Negative priorities are reserved: the LET overheads
+// (DMA programming, ISR) run above every task.
 func (s *System) Validate() error {
 	if len(s.Tasks) == 0 {
 		return fmt.Errorf("model: system has no tasks")
+	}
+	for _, t := range s.Tasks {
+		if t.Priority < 0 {
+			return fmt.Errorf("model: task %q has negative priority %d (the LET overheads outrank every task)", t.Name, t.Priority)
+		}
 	}
 	for c := 0; c < s.NumCores; c++ {
 		seen := make(map[int]string)

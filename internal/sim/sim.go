@@ -287,11 +287,10 @@ type Result struct {
 	HaltedAt timeutil.Time
 }
 
-// overhead is a slice of CPU time consumed at the highest priority.
-type overhead struct {
-	core  model.CoreID
-	start timeutil.Time
-	dur   timeutil.Time
+// interval is a slice of CPU time, [start, end), that a programming, ISR
+// or CPU-copy overhead holds at the highest priority.
+type interval struct {
+	start, end timeutil.Time
 }
 
 // Run simulates the configured protocol and returns per-task statistics.
@@ -324,11 +323,11 @@ type Plan struct {
 	// released at k*Period is jobBase[i]+k.
 	jobBase []int
 	numJobs int
-	// coreJobs counts the task jobs of each core; nominalOvs counts the
-	// overhead slices of a fault-free replay.
-	coreJobs   []int
-	nominalOvs int
-	ws         workspace
+	// coreJobs counts the task jobs of each core; coreOvs counts its
+	// overhead slices in a fault-free replay.
+	coreJobs []int
+	coreOvs  []int
+	ws       workspace
 }
 
 // step is one communication instant of T* whose induced schedule is
@@ -365,6 +364,8 @@ func NewPlan(cfg Config) (*Plan, error) {
 		cfg.Hyperperiods = 1
 	}
 	sched, perTask := effectiveSchedule(cfg)
+	nc := a.Sys.NumCores
+	counts := make([]int, 2*nc) // coreJobs, then coreOvs
 	p := &Plan{
 		a:            a,
 		sched:        cfg.Sched,
@@ -373,7 +374,8 @@ func NewPlan(cfg Config) (*Plan, error) {
 		horizon:      a.H * timeutil.Time(cfg.Hyperperiods),
 		perTask:      perTask,
 		jobBase:      make([]int, len(a.Sys.Tasks)),
-		coreJobs:     make([]int, a.Sys.NumCores),
+		coreJobs:     counts[:nc:nc],
+		coreOvs:      counts[nc:],
 	}
 	for i, task := range a.Sys.Tasks {
 		p.jobBase[i] = p.numJobs
@@ -420,7 +422,9 @@ func NewPlan(cfg Config) (*Plan, error) {
 		if idx+1 < len(instants) {
 			st.next = instants[idx+1]
 		}
-		p.nominalOvs += perXfer * cfg.Hyperperiods * len(st.xfers)
+		for _, x := range st.xfers {
+			p.coreOvs[x.core] += perXfer * cfg.Hyperperiods
+		}
 		lo := len(rels)
 		for i, task := range a.Sys.Tasks {
 			if int64(t0)%int64(task.Period) != 0 {
@@ -457,24 +461,60 @@ func (p *Plan) RunUnlessSpilled(cfg Config) (res *Result, spilled bool, err erro
 	return p.run(cfg, true)
 }
 
-// run is Run, stopping at the first spilled window when stopAtSpill is
-// set (see RunUnlessSpilled).
-func (p *Plan) run(cfg Config, stopAtSpill bool) (*Result, bool, error) {
+// Spills reports whether the fault-free replay of cfg spills a
+// communication sequence past its window (a Property 3 violation), as
+// RunUnlessSpilled would, without replaying anything. Until the first
+// spill every sequence starts at its own instant and books its
+// transfers back to back, each costing TransferCost of its size (for
+// Giotto-CPU, the CPU copy slice and then the ISR), so a sequence spills
+// exactly when those costs sum past its window: Constraint 10 at cfg's
+// cost model. cfg must match the plan, as for Run; Inject, Policy and
+// Trace are ignored.
+func (p *Plan) Spills(cfg Config) (bool, error) {
+	cost, err := p.copyModel(&cfg)
+	if err != nil {
+		return false, err
+	}
+	for si := range p.steps {
+		st := &p.steps[si]
+		left := st.next - st.t0
+		for gi := range st.xfers {
+			if left -= cost.TransferCost(st.xfers[gi].size); left < 0 {
+				return true, nil
+			}
+		}
+	}
+	return false, nil
+}
+
+// copyModel validates cfg against the plan, defaults its CPU cost model,
+// and returns the cost model the protocol's copies follow: CPUCost under
+// Giotto-CPU, Cost otherwise.
+func (p *Plan) copyModel(cfg *Config) (dma.CostModel, error) {
 	if err := cfg.validate(); err != nil {
-		return nil, false, err
+		return dma.CostModel{}, err
 	}
 	if cfg.Hyperperiods == 0 {
 		cfg.Hyperperiods = 1
 	}
 	if cfg.Analysis != p.a || cfg.Sched != p.sched || cfg.Protocol != p.protocol || cfg.Hyperperiods != p.hyperperiods {
-		return nil, false, fmt.Errorf("sim: Config does not match the plan (Analysis, Sched, Protocol and Hyperperiods must be the plan's)")
+		return dma.CostModel{}, fmt.Errorf("sim: Config does not match the plan (Analysis, Sched, Protocol and Hyperperiods must be the plan's)")
 	}
 	if cfg.CPUCost.CopyNsDen == 0 {
 		cfg.CPUCost = dma.CPUCopyCostModel()
 	}
-	cost := cfg.Cost
 	if p.protocol == GiottoCPU {
-		cost = cfg.CPUCost
+		return cfg.CPUCost, nil
+	}
+	return cfg.Cost, nil
+}
+
+// run is Run, stopping at the first spilled window when stopAtSpill is
+// set (see RunUnlessSpilled).
+func (p *Plan) run(cfg Config, stopAtSpill bool) (*Result, bool, error) {
+	cost, err := p.copyModel(&cfg)
+	if err != nil {
+		return nil, false, err
 	}
 	a := p.a
 	w := &p.ws
@@ -496,10 +536,9 @@ func (p *Plan) run(cfg Config, stopAtSpill bool) (*Result, bool, error) {
 		HaltedAt:            tl.haltedAt,
 	}
 
-	// Per-core job lists, carved from the workspace's job buffer: task
-	// jobs in (task, release) order, then the overhead slices in replay
-	// order; the position is the FIFO tie-break.
-	cores := w.jobLists(p, tl.ovs)
+	// Per-core job lists, carved once per plan: the core's task jobs in
+	// (task, release) order; the position is the FIFO tie-break.
+	cores := w.cores
 	stats := make([]TaskStats, len(a.Sys.Tasks))
 	latency := make([]timeutil.Time, p.numJobs) // carved into LatencyAt
 	for i, task := range a.Sys.Tasks {
@@ -526,25 +565,19 @@ func (p *Plan) run(cfg Config, stopAtSpill bool) (*Result, bool, error) {
 			ji++
 		}
 	}
-	for _, ov := range tl.ovs {
-		cores[ov.core] = append(cores[ov.core], job{task: -1, prio: -1, ready: ov.start, rem: ov.dur})
-	}
 
 	for c := range cores {
-		segs := w.simulateCore(cores[c], cfg.Trace != nil)
+		segs := w.simulateCore(cores[c], tl.busy[c], cfg.Trace != nil)
 		if cfg.Trace != nil {
 			track := fmt.Sprintf("core%d", c)
 			for _, sg := range segs {
-				if sg.j.task < 0 {
-					continue // overheads already traced by replay
-				}
 				cfg.Trace.Span(track, a.Sys.Task(sg.j.task).Name, trace.CatJob, sg.start, sg.end-sg.start)
 			}
 		}
 	}
-	// Response times: the task jobs head each core's list in the order
+	// Response times: each core's list holds its task jobs in the order
 	// they were appended above.
-	head := w.perCore
+	head := w.head
 	clear(head)
 	for i, task := range a.Sys.Tasks {
 		st := &stats[i]
@@ -578,13 +611,16 @@ func effectiveSchedule(cfg Config) (*dma.Schedule, bool) {
 
 // timeline is the outcome of replaying every communication sequence:
 // task readiness, CPU overhead slices, and — under fault injection — the
-// structured deviation report. readyAt, staleJob and ovs live in the
+// structured deviation report. readyAt, staleJob and busy live in the
 // plan's workspace; the other fields are handed to the Result as they
 // are.
 type timeline struct {
 	readyAt  []timeutil.Time // per job number (see Plan.jobBase)
 	staleJob []bool          // per job number; nil without injection
-	ovs      []overhead
+	// busy[c] lists core c's overhead slices in replay order, which is
+	// time order: the single DMA timeline books them one after another,
+	// so they never overlap.
+	busy     [][]interval
 	p3viol   int
 	vs       violation.List
 	degraded []timeutil.Time
@@ -596,7 +632,7 @@ type timeline struct {
 }
 
 // workspace holds the buffers one replay fills and then discards: the
-// timeline's readiness, staleness and overhead buffers, the
+// timeline's readiness, staleness and per-core busy lists, the
 // per-communication stamps, the per-core job lists and the scheduling
 // kernel's arrival order and ready heap. Every Run resets it first, so a
 // Run on a reused plan is indistinguishable from one on a fresh plan.
@@ -612,10 +648,10 @@ type workspace struct {
 	doneAt   []timeutil.Time
 	doneSeq  []int
 	staleSeq []int
-	// all backs the per-core job lists cores.
-	all     []job
-	cores   [][]job
-	perCore []int
+	// cores holds each core's task jobs, carved once per plan; head
+	// walks them when response times are read back.
+	cores [][]job
+	head  []int
 	// Scheduling kernel scratch: the arrival order, its merge buffer and
 	// run starts, and the ready heap, all indices into one core's jobs.
 	order, merge []int32
@@ -630,11 +666,19 @@ func (w *workspace) reset(p *Plan, injected bool) *timeline {
 	nc := p.a.NumComms()
 	if w.tl.readyAt == nil {
 		w.tl.readyAt = make([]timeutil.Time, p.numJobs)
-		w.tl.ovs = make([]overhead, 0, p.nominalOvs)
+		// A faulted replay may outgrow a core's busy list; append then
+		// moves that list alone, and the workspace keeps the larger one.
+		w.tl.busy = carve[interval](p.coreOvs)
+		w.cores = carve[job](p.coreJobs)
+		w.head = make([]int, len(p.coreJobs))
 		w.doneAt = make([]timeutil.Time, nc)
 		w.doneSeq = make([]int, nc)
 	}
-	w.tl = timeline{readyAt: w.tl.readyAt, ovs: w.tl.ovs[:0]}
+	w.tl = timeline{readyAt: w.tl.readyAt, busy: w.tl.busy}
+	for c := range w.tl.busy {
+		w.tl.busy[c] = w.tl.busy[c][:0]
+		w.cores[c] = w.cores[c][:0]
+	}
 	clear(w.doneSeq)
 	if injected {
 		if w.staleJob == nil {
@@ -655,26 +699,21 @@ func (w *workspace) reset(p *Plan, injected bool) *timeline {
 	return &w.tl
 }
 
-// jobLists returns one empty job list per core, carved from the job
-// buffer with room for the core's task jobs and its share of ovs. The
-// buffer keeps headroom, since faulted replays add retry slices.
-func (w *workspace) jobLists(p *Plan, ovs []overhead) [][]job {
-	w.perCore = append(w.perCore[:0], p.coreJobs...)
-	for _, ov := range ovs {
-		w.perCore[ov.core]++
+// carve returns one empty list per entry of caps, each with that
+// capacity, all backed by one allocation.
+func carve[T any](caps []int) [][]T {
+	total := 0
+	for _, n := range caps {
+		total += n
 	}
-	if need := p.numJobs + len(ovs); cap(w.all) < need {
-		w.all = make([]job, need+need/4)
-	}
-	if w.cores == nil {
-		w.cores = make([][]job, len(w.perCore))
-	}
+	buf := make([]T, total)
+	lists := make([][]T, len(caps))
 	off := 0
-	for c, n := range w.perCore {
-		w.cores[c] = w.all[off : off : off+n]
+	for c, n := range caps {
+		lists[c] = buf[off : off : off+n]
 		off += n
 	}
-	return w.cores
+	return lists
 }
 
 // markDegraded records that the sequence at absolute instant t deviated
@@ -702,20 +741,21 @@ func (tl *timeline) charge(s timeutil.Time, core model.CoreID, cost dma.CostMode
 	if tr != nil {
 		track = fmt.Sprintf("core%d", core)
 	}
+	busy := &tl.busy[core]
 	if cpuCopies {
-		tl.ovs = append(tl.ovs, overhead{core: core, start: s, dur: prog + copyT})
+		*busy = append(*busy, interval{start: s, end: s + prog + copyT})
 		if tr != nil {
 			tr.Span(track, "copy "+name, trace.CatOverhead, s, prog+copyT)
 		}
 		return s + prog + copyT + isr
 	}
-	tl.ovs = append(tl.ovs, overhead{core: core, start: s, dur: prog})
+	*busy = append(*busy, interval{start: s, end: s + prog})
 	if tr != nil {
 		tr.Span(track, "program "+name, trace.CatOverhead, s, prog)
 		tr.Span("dma", name, trace.CatCopy, s+prog, copyT)
 	}
 	s += prog + copyT
-	tl.ovs = append(tl.ovs, overhead{core: core, start: s, dur: isr})
+	*busy = append(*busy, interval{start: s, end: s + isr})
 	if tr != nil {
 		tr.Span(track, "isr "+name, trace.CatOverhead, s, isr)
 	}
@@ -896,9 +936,9 @@ func (p *Plan) replay(cost dma.CostModel, tr *trace.Trace, inj Injector, policy 
 	return tl
 }
 
-// job is a schedulable entity on one core; task == -1 marks an overhead
-// slice running at the highest priority. A job's position in its core's
-// list is its sequence number, the FIFO tie-break.
+// job is one task job on a core. A job's position in its core's list is
+// its sequence number, the FIFO tie-break. Overhead slices are not jobs:
+// the kernel treats them as busy intervals.
 type job struct {
 	task   model.TaskID
 	prio   int
@@ -972,18 +1012,28 @@ type segment struct {
 	start, end timeutil.Time
 }
 
-// simulateCore runs preemptive fixed-priority scheduling over the given
-// jobs, setting each job's finish time. The execution segments are
-// recorded only when traced is set.
-func (w *workspace) simulateCore(jobs []job, traced bool) []segment {
+// simulateCore runs preemptive fixed-priority scheduling of the core's
+// task jobs around busy, the core's overhead slices in time order,
+// setting each job's finish time. The slices outrank every task and
+// never overlap, so each one holds the core for exactly [start, end):
+// execution stops at a slice's start, even a zero-length one, and
+// resumes at its end. The task execution segments are recorded only when
+// traced is set.
+func (w *workspace) simulateCore(jobs []job, busy []interval, traced bool) []segment {
 	var segs []segment
 	arrivals := w.arrivalOrder(jobs)
 	ready := readyHeap{jobs: jobs, idx: w.heap[:0]}
 	now := timeutil.Time(0)
-	i := 0
+	i, b := 0, 0
 	for i < len(arrivals) || len(ready.idx) > 0 {
 		if len(ready.idx) == 0 && now < jobs[arrivals[i]].ready {
 			now = jobs[arrivals[i]].ready
+		}
+		// The slices begun by now hold the core to their ends; an idle
+		// core may have skipped to an arrival inside one.
+		for b < len(busy) && busy[b].start <= now {
+			now = max(now, busy[b].end)
+			b++
 		}
 		for i < len(arrivals) && jobs[arrivals[i]].ready <= now {
 			ready.push(arrivals[i])
@@ -995,27 +1045,26 @@ func (w *workspace) simulateCore(jobs []job, traced bool) []segment {
 			ready.pop()
 			continue
 		}
-		// Run until completion or the next arrival, whichever is first.
+		// Run until completion, the next arrival or the next slice,
+		// whichever is first; every arrival and slice start up to now is
+		// consumed, so until lies past now.
 		until := now + j.rem
 		if i < len(arrivals) {
-			until = jobs[arrivals[i]].ready
+			until = min(until, jobs[arrivals[i]].ready)
 		}
-		if now+j.rem <= until {
-			if traced {
-				segs = append(segs, segment{j: j, start: now, end: now + j.rem})
-			}
-			now += j.rem
-			j.rem = 0
+		if b < len(busy) {
+			until = min(until, busy[b].start)
+		}
+		if traced {
+			segs = append(segs, segment{j: j, start: now, end: until})
+		}
+		// Preempted or not, an unfinished j stays in the heap: rem is not
+		// part of the order.
+		j.rem -= until - now
+		now = until
+		if j.rem == 0 {
 			j.finish = now
 			ready.pop()
-		} else {
-			if traced && until > now {
-				segs = append(segs, segment{j: j, start: now, end: until})
-			}
-			// Preempted or not, j stays in the heap: rem is not part of
-			// the order.
-			j.rem -= until - now
-			now = until
 		}
 	}
 	w.heap = ready.idx
@@ -1024,10 +1073,10 @@ func (w *workspace) simulateCore(jobs []job, traced bool) []segment {
 
 // arrivalOrder returns the indices of jobs ordered by (ready, index),
 // i.e. stably by readiness. The list is a concatenation of a few long
-// runs already in that order — each task's releases, the overhead
-// slices — so merging its maximal runs pairwise costs O(n log runs)
-// where a comparison sort costs O(n log n). The result lives in the
-// workspace until the next call.
+// runs already in that order — each task's releases — so merging its
+// maximal runs pairwise costs O(n log runs) where a comparison sort
+// costs O(n log n). The result lives in the workspace until the next
+// call.
 func (w *workspace) arrivalOrder(jobs []job) []int32 {
 	n := len(jobs)
 	a := growIdx(w.order, n)

@@ -51,7 +51,7 @@ func TestSimulateCorePreemption(t *testing.T) {
 		{task: 1, prio: 5, ready: 0, rem: ms(5)},
 		{task: 2, prio: 1, ready: ms(2), rem: ms(2)},
 	}
-	new(workspace).simulateCore(jobs, false)
+	new(workspace).simulateCore(jobs, nil, false)
 	if hi := jobs[1].finish; hi != ms(4) {
 		t.Errorf("high-priority finish = %v, want 4ms", hi)
 	}
@@ -65,7 +65,7 @@ func TestSimulateCoreIdleGap(t *testing.T) {
 		{task: 1, prio: 1, ready: 0, rem: ms(1)},
 		{task: 2, prio: 1, ready: ms(5), rem: ms(1)},
 	}
-	new(workspace).simulateCore(jobs, false)
+	new(workspace).simulateCore(jobs, nil, false)
 	if jobs[0].finish != ms(1) || jobs[1].finish != ms(6) {
 		t.Errorf("finishes = %v, %v; want 1ms, 6ms", jobs[0].finish, jobs[1].finish)
 	}
@@ -73,7 +73,7 @@ func TestSimulateCoreIdleGap(t *testing.T) {
 
 func TestSimulateCoreZeroWCET(t *testing.T) {
 	jobs := []job{{task: 1, prio: 1, ready: ms(3), rem: 0}}
-	new(workspace).simulateCore(jobs, false)
+	new(workspace).simulateCore(jobs, nil, false)
 	if jobs[0].finish != ms(3) {
 		t.Errorf("zero-WCET finish = %v, want 3ms", jobs[0].finish)
 	}
@@ -393,7 +393,7 @@ func TestEqualPriorityFIFO(t *testing.T) {
 		// to completion at 10 before B starts, so B finishes at 20.
 		jobs := []job{mk(0, 2, ms(0), ms(10)), mk(1, 2, ms(5), ms(10))}
 		jobA, jobB := &jobs[0], &jobs[1]
-		segs := new(workspace).simulateCore(jobs, true)
+		segs := new(workspace).simulateCore(jobs, nil, true)
 		if jobA.finish != ms(10) {
 			t.Errorf("A finished at %v, want 10ms (uninterrupted)", jobA.finish)
 		}
@@ -425,13 +425,13 @@ func TestEqualPriorityFIFO(t *testing.T) {
 		// Same priority, same readiness: arrival order (the position in
 		// the list handed to simulateCore) decides.
 		jobs := []job{mk(0, 3, ms(0), ms(4)), mk(1, 3, ms(0), ms(4))}
-		new(workspace).simulateCore(jobs, false)
+		new(workspace).simulateCore(jobs, nil, false)
 		if jobs[0].finish != ms(4) || jobs[1].finish != ms(8) {
 			t.Errorf("finishes A=%v B=%v, want A=4ms B=8ms (FIFO by seq)", jobs[0].finish, jobs[1].finish)
 		}
 		// Swapped input order swaps the outcome symmetrically.
 		swapped := []job{mk(1, 3, ms(0), ms(4)), mk(0, 3, ms(0), ms(4))}
-		new(workspace).simulateCore(swapped, false)
+		new(workspace).simulateCore(swapped, nil, false)
 		if swapped[0].finish != ms(4) || swapped[1].finish != ms(8) {
 			t.Errorf("finishes B=%v A=%v, want B=4ms A=8ms (FIFO by seq)", swapped[0].finish, swapped[1].finish)
 		}
@@ -441,7 +441,7 @@ func TestEqualPriorityFIFO(t *testing.T) {
 		// The tie-break must not weaken real preemption: a higher-priority
 		// (numerically lower) job released mid-run does slice the low one.
 		jobs := []job{mk(0, 5, ms(0), ms(10)), mk(1, 1, ms(5), ms(2))}
-		new(workspace).simulateCore(jobs, false)
+		new(workspace).simulateCore(jobs, nil, false)
 		if hi := jobs[1].finish; hi != ms(7) {
 			t.Errorf("high-priority finished at %v, want 7ms", hi)
 		}
@@ -620,13 +620,86 @@ func randomJobs(rng *rand.Rand) []job {
 	return jobs
 }
 
+// randomBusyCore draws one core's input in replay shape: task jobs as
+// randomJobs draws them but at task priorities (non-negative), and
+// disjoint overhead slices in time order. Times are dense, so task
+// arrivals often fall inside slices and on their edges, and many slices
+// have zero length.
+func randomBusyCore(rng *rand.Rand) ([]job, []interval) {
+	var jobs []job
+	for r := rng.Intn(6); r >= 0; r-- {
+		ready := timeutil.Time(rng.Intn(5))
+		for n := rng.Intn(30); n > 0; n-- {
+			ready += timeutil.Time(rng.Intn(4))
+			jobs = append(jobs, job{
+				task:  model.TaskID(len(jobs)),
+				prio:  rng.Intn(4),
+				ready: ready,
+				rem:   timeutil.Time(rng.Intn(6)),
+			})
+		}
+	}
+	var busy []interval
+	end := timeutil.Time(0)
+	for n := rng.Intn(30); n > 0; n-- {
+		start := end + timeutil.Time(rng.Intn(4))
+		end = start + timeutil.Time(rng.Intn(4))
+		busy = append(busy, interval{start: start, end: end})
+	}
+	return jobs, busy
+}
+
+// checkKernel runs the kernel on jobs around busy, and the reference
+// kernel on the merged list in which every busy slice is a job at
+// priority -1 after the task jobs, as replays once built it. It fails
+// unless the task finish times and task execution segments agree, and
+// returns the reference's task segments.
+func checkKernel(t *testing.T, w *workspace, trial int, jobs []job, busy []interval) []refSegment {
+	t.Helper()
+	ref := make([]refJob, len(jobs)+len(busy))
+	for i := range jobs {
+		ref[i].job = jobs[i]
+	}
+	for k, sl := range busy {
+		ref[len(jobs)+k].job = job{task: -1, prio: -1, ready: sl.start, rem: sl.end - sl.start}
+	}
+	var wantSegs []refSegment
+	for _, sg := range refSimulateCore(ref) {
+		if sg.j.seq < len(jobs) {
+			wantSegs = append(wantSegs, sg)
+		}
+	}
+	segs := w.simulateCore(jobs, busy, true)
+	for i := range jobs {
+		if jobs[i].finish != ref[i].finish {
+			t.Fatalf("trial %d: job %d finishes at %v, reference %v", trial, i, jobs[i].finish, ref[i].finish)
+		}
+	}
+	if len(segs) != len(wantSegs) {
+		t.Fatalf("trial %d: %d segments, reference %d", trial, len(segs), len(wantSegs))
+	}
+	for i, sg := range segs {
+		want := wantSegs[i]
+		if int(sg.j.task) != want.j.seq || sg.start != want.start || sg.end != want.end {
+			t.Fatalf("trial %d: segment %d is job %d [%v, %v), reference job %d [%v, %v)",
+				trial, i, sg.j.task, sg.start, sg.end, want.j.seq, want.start, want.end)
+		}
+	}
+	return wantSegs
+}
+
 // TestKernelMatchesReference: the index-based arrival order and ready
 // heap must reproduce the pointer-based container/heap kernel exactly —
 // the same arrival order, finish times and execution segments — on
 // seeded random job lists, with one workspace reused across all lists.
+// Given a core's task jobs and its overhead slices as busy intervals,
+// the kernel must match the reference on the merged list. The seeded
+// cores must hold task arrivals inside slices and at both slice edges,
+// and zero-length slices that split a running task's segment.
 func TestKernelMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var w workspace
+	var inside, atStart, atEnd, zeroSplits int
 	for trial := 0; trial < 2000; trial++ {
 		jobs := randomJobs(rng)
 		ref := make([]refJob, len(jobs))
@@ -639,22 +712,34 @@ func TestKernelMatchesReference(t *testing.T) {
 				t.Fatalf("trial %d: arrival %d is job %d, reference %d", trial, i, x, wantOrder[i].seq)
 			}
 		}
-		wantSegs := refSimulateCore(ref)
-		segs := w.simulateCore(jobs, true)
-		for i := range jobs {
-			if jobs[i].finish != ref[i].finish {
-				t.Fatalf("trial %d: job %d finishes at %v, reference %v", trial, i, jobs[i].finish, ref[i].finish)
+		checkKernel(t, &w, trial, jobs, nil)
+
+		jobs, busy := randomBusyCore(rng)
+		wantSegs := checkKernel(t, &w, trial, jobs, busy)
+		arrives := make(map[timeutil.Time]bool, len(jobs))
+		for _, j := range jobs {
+			arrives[j.ready] = true
+			for _, sl := range busy {
+				switch {
+				case sl.start < j.ready && j.ready < sl.end:
+					inside++
+				case j.ready == sl.start:
+					atStart++
+				case j.ready == sl.end:
+					atEnd++
+				}
 			}
 		}
-		if len(segs) != len(wantSegs) {
-			t.Fatalf("trial %d: %d segments, reference %d", trial, len(segs), len(wantSegs))
-		}
-		for i, sg := range segs {
-			want := wantSegs[i]
-			if sg.j.task != want.j.task || sg.start != want.start || sg.end != want.end {
-				t.Fatalf("trial %d: segment %d is job %d [%v, %v), reference job %d [%v, %v)",
-					trial, i, sg.j.task, sg.start, sg.end, want.j.task, want.start, want.end)
+		for i := 1; i < len(wantSegs); i++ {
+			prev, sg := wantSegs[i-1], wantSegs[i]
+			if prev.j == sg.j && prev.end == sg.start && !arrives[sg.start] {
+				// Only a zero-length slice splits a segment there.
+				zeroSplits++
 			}
 		}
+	}
+	if inside == 0 || atStart == 0 || atEnd == 0 || zeroSplits == 0 {
+		t.Errorf("corpus lacks a case: %d arrivals inside slices, %d at slice starts, %d at slice ends, %d zero-length splits",
+			inside, atStart, atEnd, zeroSplits)
 	}
 }

@@ -207,6 +207,9 @@ func TestPlanReuseLeavesResultsIntact(t *testing.T) {
 // otherwise returns Run's Result, over the replay corpus, the four
 // protocols and copy slowdowns on both sides of each schedule's margin. A
 // replay cut short at a spill leaves nothing behind for the next one.
+// Plan.Spills, which only sums transfer costs, agrees with both and with
+// dma.WindowOverruns (Constraint 10) on the protocol's effective
+// schedule under the protocol's copy model.
 func TestRunUnlessSpilledMatchesRun(t *testing.T) {
 	spills, clean := 0, 0
 	for _, s := range replayCorpus(t) {
@@ -216,7 +219,14 @@ func TestRunUnlessSpilledMatchesRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, slow := range []int64{1, 400, 4000, 40000, 1} {
+			eff := s.sched
+			switch proto {
+			case sim.GiottoDMAB:
+				eff = dma.GiottoReorder(s.a, s.sched)
+			case sim.GiottoCPU, sim.GiottoDMAA:
+				eff = dma.GiottoPerCommSchedule(s.a)
+			}
+			for _, slow := range []int64{1, 3, 400, 4000, 40000, 1} {
 				cfg := base
 				cfg.Cost.CopyNsNum *= slow
 				cfg.CPUCost.CopyNsNum *= slow
@@ -228,6 +238,15 @@ func TestRunUnlessSpilledMatchesRun(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				bound, err := plan.Spills(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cost := cfg.Cost
+				if proto == sim.GiottoCPU {
+					cost = cfg.CPUCost
+				}
+				overruns := dma.WindowOverruns(s.a, cost, eff)
 				switch {
 				case spilled != (want.Property3Violations > 0):
 					t.Fatalf("%s/%v x%d: spilled=%v, Run counts %d Property 3 violations", s.name, proto, slow, spilled, want.Property3Violations)
@@ -235,6 +254,8 @@ func TestRunUnlessSpilledMatchesRun(t *testing.T) {
 					t.Fatalf("%s/%v x%d: a spilled run returned a Result", s.name, proto, slow)
 				case !spilled && !reflect.DeepEqual(got, want):
 					t.Fatalf("%s/%v x%d: RunUnlessSpilled's Result differs from Run's", s.name, proto, slow)
+				case bound != spilled || bound != (len(overruns) > 0):
+					t.Fatalf("%s/%v x%d: Spills=%v, the replay spilled=%v, %d window overruns", s.name, proto, slow, bound, spilled, len(overruns))
 				}
 				if spilled {
 					spills++
